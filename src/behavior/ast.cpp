@@ -31,7 +31,7 @@ const char* toString(BinaryOp op) {
   return "?";
 }
 
-ExprPtr makeIntLit(std::int64_t v) {
+ExprPtr makeIntLit(std::int32_t v) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kIntLit;
   e->intValue = v;
@@ -62,18 +62,6 @@ ExprPtr makeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
   return e;
 }
 
-ExprPtr clone(const Expr& e) {
-  auto out = std::make_unique<Expr>();
-  out->kind = e.kind;
-  out->intValue = e.intValue;
-  out->name = e.name;
-  out->uop = e.uop;
-  out->bop = e.bop;
-  if (e.lhs) out->lhs = clone(*e.lhs);
-  if (e.rhs) out->rhs = clone(*e.rhs);
-  return out;
-}
-
 StmtPtr makeVarDecl(std::string name, ExprPtr init) {
   auto s = std::make_unique<Stmt>();
   s->kind = StmtKind::kVarDecl;
@@ -100,63 +88,10 @@ StmtPtr makeIf(ExprPtr cond, std::vector<StmtPtr> thenBody,
   return s;
 }
 
-StmtPtr clone(const Stmt& s) {
-  auto out = std::make_unique<Stmt>();
-  out->kind = s.kind;
-  out->name = s.name;
-  if (s.expr) out->expr = clone(*s.expr);
-  out->thenBody.reserve(s.thenBody.size());
-  for (const StmtPtr& t : s.thenBody) out->thenBody.push_back(clone(*t));
-  out->elseBody.reserve(s.elseBody.size());
-  for (const StmtPtr& t : s.elseBody) out->elseBody.push_back(clone(*t));
-  return out;
-}
-
-Program Program::cloneProgram() const {
-  Program p;
-  p.statements.reserve(statements.size());
-  for (const StmtPtr& s : statements) p.statements.push_back(clone(*s));
-  return p;
-}
-
-namespace {
-
-void collectRefs(const Expr& e, std::set<std::string>& out) {
-  if (e.kind == ExprKind::kVarRef) out.insert(e.name);
-  if (e.lhs) collectRefs(*e.lhs, out);
-  if (e.rhs) collectRefs(*e.rhs, out);
-}
-
-void collectRefs(const Stmt& s, std::set<std::string>& out) {
-  if (s.expr) collectRefs(*s.expr, out);
-  for (const StmtPtr& t : s.thenBody) collectRefs(*t, out);
-  for (const StmtPtr& t : s.elseBody) collectRefs(*t, out);
-}
-
-void collectAssigns(const Stmt& s, std::set<std::string>& out) {
-  if (s.kind == StmtKind::kAssign) out.insert(s.name);
-  for (const StmtPtr& t : s.thenBody) collectAssigns(*t, out);
-  for (const StmtPtr& t : s.elseBody) collectAssigns(*t, out);
-}
-
-}  // namespace
-
 std::vector<std::string> declaredVars(const Program& p) {
   std::vector<std::string> out;
   for (const StmtPtr& s : p.statements)
     if (s->kind == StmtKind::kVarDecl) out.push_back(s->name);
-  return out;
-}
-
-std::set<std::string> referencedNames(const Program& p) {
-  std::set<std::string> out;
-  for (const StmtPtr& s : p.statements) collectRefs(*s, out);
-  return out;
-}
-
-std::set<std::string> assignedNames(const Program& p) {
-  std::set<std::string> out;
-  for (const StmtPtr& s : p.statements) collectAssigns(*s, out);
   return out;
 }
 

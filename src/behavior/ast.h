@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,22 +39,22 @@ const char* toString(BinaryOp op);
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
+// Field order packs the node into 56 bytes: block types keep their trees
+// for the life of the process, so node size is resident memory.
 struct Expr {
   ExprKind kind;
-  std::int64_t intValue = 0;  // kIntLit
-  std::string name;           // kVarRef
   UnaryOp uop = UnaryOp::kNot;
   BinaryOp bop = BinaryOp::kAdd;
+  std::int32_t intValue = 0;  // kIntLit (the lexer caps literals at 2^31-1)
+  std::string name;           // kVarRef
   ExprPtr lhs;  // kUnary operand / kBinary left
   ExprPtr rhs;  // kBinary right
 };
 
-ExprPtr makeIntLit(std::int64_t v);
+ExprPtr makeIntLit(std::int32_t v);
 ExprPtr makeVarRef(std::string name);
 ExprPtr makeUnary(UnaryOp op, ExprPtr operand);
 ExprPtr makeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
-
-ExprPtr clone(const Expr& e);
 
 // --- statements --------------------------------------------------------------
 
@@ -77,10 +76,9 @@ StmtPtr makeAssign(std::string name, ExprPtr value);
 StmtPtr makeIf(ExprPtr cond, std::vector<StmtPtr> thenBody,
                std::vector<StmtPtr> elseBody = {});
 
-StmtPtr clone(const Stmt& s);
-
 // --- programs ----------------------------------------------------------------
 
+/// A program is move-only; behavior/rename.h makes (renamed) copies.
 struct Program {
   std::vector<StmtPtr> statements;
 
@@ -89,19 +87,10 @@ struct Program {
   Program& operator=(Program&&) = default;
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
-
-  Program cloneProgram() const;
 };
 
 /// Names of variables declared with `var` in program order.
 std::vector<std::string> declaredVars(const Program& p);
-
-/// Every name referenced (read) anywhere in the program.
-std::set<std::string> referencedNames(const Program& p);
-
-/// Every name assigned (written) anywhere in the program, excluding
-/// declarations.
-std::set<std::string> assignedNames(const Program& p);
 
 }  // namespace eblocks::behavior
 

@@ -1,7 +1,7 @@
 #include "behavior/lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 
 namespace eblocks::behavior {
 
@@ -47,117 +47,115 @@ LexError::LexError(const std::string& what, int line, int column)
 
 namespace {
 
-const std::unordered_map<std::string_view, TokenKind>& keywords() {
-  static const std::unordered_map<std::string_view, TokenKind> kw = {
-      {"var", TokenKind::kKwVar},
-      {"if", TokenKind::kKwIf},
-      {"else", TokenKind::kKwElse},
-      {"true", TokenKind::kKwTrue},
-      {"false", TokenKind::kKwFalse},
-  };
-  return kw;
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool isIdentStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+bool isIdentChar(char c) { return isIdentStart(c) || isDigit(c); }
+
+TokenKind wordKind(std::string_view word) {
+  if (word == "var") return TokenKind::kKwVar;
+  if (word == "if") return TokenKind::kKwIf;
+  if (word == "else") return TokenKind::kKwElse;
+  if (word == "true") return TokenKind::kKwTrue;
+  if (word == "false") return TokenKind::kKwFalse;
+  return TokenKind::kIdent;
 }
 
 }  // namespace
 
-std::vector<Token> lex(std::string_view src) {
-  std::vector<Token> out;
-  std::size_t i = 0;
-  int line = 1, col = 1;
-  auto advance = [&](std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k, ++i) {
-      if (i < src.size() && src[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
+Token Lexer::next() {
+  // Whitespace and comments.
+  while (i_ < src_.size()) {
+    const char c = src_[i_];
+    const bool comment =
+        c == '#' || (c == '/' && i_ + 1 < src_.size() && src_[i_ + 1] == '/');
+    if (comment) {
+      while (i_ < src_.size() && src_[i_] != '\n') {
+        ++i_;
+        ++col_;
       }
-    }
-  };
-  auto push = [&](TokenKind kind, std::size_t len) {
-    Token t;
-    t.kind = kind;
-    t.line = line;
-    t.column = col;
-    t.text = std::string(src.substr(i, len));
-    out.push_back(t);
-    advance(len);
-  };
-  while (i < src.size()) {
-    const char c = src[i];
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance(1);
-      continue;
-    }
-    if (c == '#' || (c == '/' && i + 1 < src.size() && src[i + 1] == '/')) {
-      while (i < src.size() && src[i] != '\n') advance(1);
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t len = 0;
-      std::int64_t v = 0;
-      while (i + len < src.size() &&
-             std::isdigit(static_cast<unsigned char>(src[i + len]))) {
-        v = v * 10 + (src[i + len] - '0');
-        if (v > 0x7fffffff)
-          throw LexError("integer literal too large", line, col);
-        ++len;
-      }
-      Token t;
-      t.kind = TokenKind::kIntLit;
-      t.intValue = v;
-      t.line = line;
-      t.column = col;
-      t.text = std::string(src.substr(i, len));
-      out.push_back(t);
-      advance(len);
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t len = 0;
-      while (i + len < src.size() &&
-             (std::isalnum(static_cast<unsigned char>(src[i + len])) ||
-              src[i + len] == '_'))
-        ++len;
-      const std::string_view word = src.substr(i, len);
-      const auto it = keywords().find(word);
-      push(it != keywords().end() ? it->second : TokenKind::kIdent, len);
-      continue;
-    }
-    auto two = [&](char a, char b) {
-      return c == a && i + 1 < src.size() && src[i + 1] == b;
-    };
-    if (two('=', '=')) { push(TokenKind::kEq, 2); continue; }
-    if (two('!', '=')) { push(TokenKind::kNe, 2); continue; }
-    if (two('<', '=')) { push(TokenKind::kLe, 2); continue; }
-    if (two('>', '=')) { push(TokenKind::kGe, 2); continue; }
-    if (two('&', '&')) { push(TokenKind::kAndAnd, 2); continue; }
-    if (two('|', '|')) { push(TokenKind::kOrOr, 2); continue; }
-    switch (c) {
-      case '(': push(TokenKind::kLParen, 1); continue;
-      case ')': push(TokenKind::kRParen, 1); continue;
-      case '{': push(TokenKind::kLBrace, 1); continue;
-      case '}': push(TokenKind::kRBrace, 1); continue;
-      case ';': push(TokenKind::kSemicolon, 1); continue;
-      case '=': push(TokenKind::kAssign, 1); continue;
-      case '<': push(TokenKind::kLt, 1); continue;
-      case '>': push(TokenKind::kGt, 1); continue;
-      case '+': push(TokenKind::kPlus, 1); continue;
-      case '-': push(TokenKind::kMinus, 1); continue;
-      case '*': push(TokenKind::kStar, 1); continue;
-      case '/': push(TokenKind::kSlash, 1); continue;
-      case '%': push(TokenKind::kPercent, 1); continue;
-      case '!': push(TokenKind::kBang, 1); continue;
-      default:
-        throw LexError(std::string("unexpected character '") + c + "'", line,
-                       col);
+    } else if (c == '\n') {
+      ++i_;
+      ++line_;
+      col_ = 1;
+    } else if (c == ' ' || c == '\t' || c == '\r') {
+      ++i_;
+      ++col_;
+    } else {
+      break;
     }
   }
-  Token end;
-  end.kind = TokenKind::kEnd;
-  end.line = line;
-  end.column = col;
-  out.push_back(end);
+
+  Token t;
+  t.line = line_;
+  t.column = col_;
+  // Tokens never span a newline, so taking one only moves the column.
+  const auto take = [&](TokenKind kind, std::size_t len) {
+    t.kind = kind;
+    if (kind == TokenKind::kIdent) t.text.assign(src_.data() + i_, len);
+    i_ += len;
+    col_ += static_cast<int>(len);
+    return std::move(t);
+  };
+  if (i_ == src_.size()) return take(TokenKind::kEnd, 0);
+
+  const char c = src_[i_];
+  if (isDigit(c)) {
+    std::size_t len = 0;
+    std::int64_t v = 0;
+    while (i_ + len < src_.size() && isDigit(src_[i_ + len])) {
+      v = v * 10 + (src_[i_ + len] - '0');
+      if (v > 0x7fffffff)
+        throw LexError("integer literal too large", line_, col_);
+      ++len;
+    }
+    t.intValue = v;
+    return take(TokenKind::kIntLit, len);
+  }
+  if (isIdentStart(c)) {
+    std::size_t len = 1;
+    while (i_ + len < src_.size() && isIdentChar(src_[i_ + len])) ++len;
+    return take(wordKind(src_.substr(i_, len)), len);
+  }
+  const auto two = [&](char a, char b) {
+    return c == a && i_ + 1 < src_.size() && src_[i_ + 1] == b;
+  };
+  if (two('=', '=')) return take(TokenKind::kEq, 2);
+  if (two('!', '=')) return take(TokenKind::kNe, 2);
+  if (two('<', '=')) return take(TokenKind::kLe, 2);
+  if (two('>', '=')) return take(TokenKind::kGe, 2);
+  if (two('&', '&')) return take(TokenKind::kAndAnd, 2);
+  if (two('|', '|')) return take(TokenKind::kOrOr, 2);
+  switch (c) {
+    case '(': return take(TokenKind::kLParen, 1);
+    case ')': return take(TokenKind::kRParen, 1);
+    case '{': return take(TokenKind::kLBrace, 1);
+    case '}': return take(TokenKind::kRBrace, 1);
+    case ';': return take(TokenKind::kSemicolon, 1);
+    case '=': return take(TokenKind::kAssign, 1);
+    case '<': return take(TokenKind::kLt, 1);
+    case '>': return take(TokenKind::kGt, 1);
+    case '+': return take(TokenKind::kPlus, 1);
+    case '-': return take(TokenKind::kMinus, 1);
+    case '*': return take(TokenKind::kStar, 1);
+    case '/': return take(TokenKind::kSlash, 1);
+    case '%': return take(TokenKind::kPercent, 1);
+    case '!': return take(TokenKind::kBang, 1);
+    default:
+      throw LexError(std::string("unexpected character '") + c + "'", line_,
+                     col_);
+  }
+}
+
+std::vector<Token> lex(std::string_view src) {
+  std::vector<Token> out;
+  Lexer lexer(src);
+  do {
+    out.push_back(lexer.next());
+  } while (out.back().kind != TokenKind::kEnd);
   return out;
 }
 

@@ -22,7 +22,24 @@ class LexError : public std::runtime_error {
   int line_, column_;
 };
 
-/// Tokenizes a full program.  `#` and `//` start comments to end of line.
+/// Produces the tokens of a program one at a time, so a parser holds one
+/// token at a time rather than the whole program's.  `#` and `//` start
+/// comments to end of line.  At the end of input next() returns kEnd
+/// tokens; malformed source throws LexError when next() reaches it.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view source) : src_(source) {}
+
+  Token next();
+
+ private:
+  std::string_view src_;
+  std::size_t i_ = 0;  ///< next unread character
+  int line_ = 1;
+  int col_ = 1;
+};
+
+/// Tokenizes a full program; the last token is kEnd.
 std::vector<Token> lex(std::string_view source);
 
 }  // namespace eblocks::behavior

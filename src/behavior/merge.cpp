@@ -1,7 +1,8 @@
 #include "behavior/merge.h"
 
-#include <set>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 namespace eblocks::behavior {
@@ -9,7 +10,9 @@ namespace eblocks::behavior {
 Program mergePrograms(std::vector<Program> parts) {
   Program merged;
   std::vector<StmtPtr> decls, body;
-  std::set<std::string> declared;
+  // Views of the declarations' own names: moving a StmtPtr leaves the
+  // statement, and so its name, where it is.
+  std::unordered_set<std::string_view> declared;
   for (Program& part : parts) {
     for (StmtPtr& s : part.statements) {
       if (s->kind == StmtKind::kVarDecl) {

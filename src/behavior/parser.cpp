@@ -1,5 +1,6 @@
 #include "behavior/parser.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "behavior/lexer.h"
@@ -16,7 +17,8 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view source)
+      : lexer_(source), cur_(lexer_.next()) {}
 
   Program parseProgram() {
     Program p;
@@ -31,10 +33,11 @@ class Parser {
   }
 
  private:
-  const Token& cur() const { return tokens_[pos_]; }
+  const Token& cur() const { return cur_; }
   bool at(TokenKind k) const { return cur().kind == k; }
 
-  Token take() { return tokens_[pos_++]; }
+  /// Consumes the current token and lexes the next one.
+  Token take() { return std::exchange(cur_, lexer_.next()); }
 
   Token expect(TokenKind k, const char* what) {
     if (!at(k))
@@ -46,8 +49,19 @@ class Parser {
 
   bool accept(TokenKind k) {
     if (!at(k)) return false;
-    ++pos_;
+    take();
     return true;
+  }
+
+  ParseError tooDeep(const char* what) const {
+    return ParseError(std::string(what) + " nested deeper than " +
+                          std::to_string(kMaxNesting) + " levels",
+                      cur().line, cur().column);
+  }
+
+  /// Opens one tree level (an `if` body or a unary operand).
+  void descend() {
+    if (++depth_ > kMaxNesting) throw tooDeep("statements and operators");
   }
 
   StmtPtr parseStmt(bool allowDecl) {
@@ -86,7 +100,9 @@ class Parser {
     std::vector<StmtPtr> elseBody;
     if (accept(TokenKind::kKwElse)) {
       if (at(TokenKind::kKwIf)) {
+        descend();
         elseBody.push_back(parseIf());  // else-if chain
+        --depth_;
       } else {
         elseBody = parseBlock();
       }
@@ -96,6 +112,7 @@ class Parser {
 
   std::vector<StmtPtr> parseBlock() {
     expect(TokenKind::kLBrace, "'{'");
+    descend();
     std::vector<StmtPtr> body;
     while (!at(TokenKind::kRBrace)) {
       if (at(TokenKind::kEnd))
@@ -103,22 +120,34 @@ class Parser {
       body.push_back(parseStmt(false));
     }
     take();  // consume '}'
+    --depth_;
     return body;
   }
 
   ExprPtr parseExpr() { return parseOr(); }
 
+  /// Parses the right operand with `next` and joins it to `lhs` under
+  /// `op`, keeping height_ and the tree-depth limit up to date.
+  ExprPtr join(BinaryOp op, ExprPtr lhs, ExprPtr (Parser::*next)()) {
+    const int lhsHeight = height_;
+    ExprPtr rhs = (this->*next)();
+    height_ = std::max(lhsHeight, height_) + 1;
+    if (depth_ + height_ > kMaxNesting)
+      throw tooDeep("statements and operators");
+    return makeBinary(op, std::move(lhs), std::move(rhs));
+  }
+
   ExprPtr parseOr() {
     ExprPtr lhs = parseAnd();
     while (accept(TokenKind::kOrOr))
-      lhs = makeBinary(BinaryOp::kOr, std::move(lhs), parseAnd());
+      lhs = join(BinaryOp::kOr, std::move(lhs), &Parser::parseAnd);
     return lhs;
   }
 
   ExprPtr parseAnd() {
     ExprPtr lhs = parseEquality();
     while (accept(TokenKind::kAndAnd))
-      lhs = makeBinary(BinaryOp::kAnd, std::move(lhs), parseEquality());
+      lhs = join(BinaryOp::kAnd, std::move(lhs), &Parser::parseEquality);
     return lhs;
   }
 
@@ -126,9 +155,9 @@ class Parser {
     ExprPtr lhs = parseRel();
     for (;;) {
       if (accept(TokenKind::kEq))
-        lhs = makeBinary(BinaryOp::kEq, std::move(lhs), parseRel());
+        lhs = join(BinaryOp::kEq, std::move(lhs), &Parser::parseRel);
       else if (accept(TokenKind::kNe))
-        lhs = makeBinary(BinaryOp::kNe, std::move(lhs), parseRel());
+        lhs = join(BinaryOp::kNe, std::move(lhs), &Parser::parseRel);
       else
         return lhs;
     }
@@ -138,13 +167,13 @@ class Parser {
     ExprPtr lhs = parseAdd();
     for (;;) {
       if (accept(TokenKind::kLt))
-        lhs = makeBinary(BinaryOp::kLt, std::move(lhs), parseAdd());
+        lhs = join(BinaryOp::kLt, std::move(lhs), &Parser::parseAdd);
       else if (accept(TokenKind::kLe))
-        lhs = makeBinary(BinaryOp::kLe, std::move(lhs), parseAdd());
+        lhs = join(BinaryOp::kLe, std::move(lhs), &Parser::parseAdd);
       else if (accept(TokenKind::kGt))
-        lhs = makeBinary(BinaryOp::kGt, std::move(lhs), parseAdd());
+        lhs = join(BinaryOp::kGt, std::move(lhs), &Parser::parseAdd);
       else if (accept(TokenKind::kGe))
-        lhs = makeBinary(BinaryOp::kGe, std::move(lhs), parseAdd());
+        lhs = join(BinaryOp::kGe, std::move(lhs), &Parser::parseAdd);
       else
         return lhs;
     }
@@ -154,9 +183,9 @@ class Parser {
     ExprPtr lhs = parseMul();
     for (;;) {
       if (accept(TokenKind::kPlus))
-        lhs = makeBinary(BinaryOp::kAdd, std::move(lhs), parseMul());
+        lhs = join(BinaryOp::kAdd, std::move(lhs), &Parser::parseMul);
       else if (accept(TokenKind::kMinus))
-        lhs = makeBinary(BinaryOp::kSub, std::move(lhs), parseMul());
+        lhs = join(BinaryOp::kSub, std::move(lhs), &Parser::parseMul);
       else
         return lhs;
     }
@@ -166,32 +195,43 @@ class Parser {
     ExprPtr lhs = parseUnary();
     for (;;) {
       if (accept(TokenKind::kStar))
-        lhs = makeBinary(BinaryOp::kMul, std::move(lhs), parseUnary());
+        lhs = join(BinaryOp::kMul, std::move(lhs), &Parser::parseUnary);
       else if (accept(TokenKind::kSlash))
-        lhs = makeBinary(BinaryOp::kDiv, std::move(lhs), parseUnary());
+        lhs = join(BinaryOp::kDiv, std::move(lhs), &Parser::parseUnary);
       else if (accept(TokenKind::kPercent))
-        lhs = makeBinary(BinaryOp::kMod, std::move(lhs), parseUnary());
+        lhs = join(BinaryOp::kMod, std::move(lhs), &Parser::parseUnary);
       else
         return lhs;
     }
   }
 
   ExprPtr parseUnary() {
+    UnaryOp op;
     if (accept(TokenKind::kBang))
-      return makeUnary(UnaryOp::kNot, parseUnary());
-    if (accept(TokenKind::kMinus))
-      return makeUnary(UnaryOp::kNeg, parseUnary());
-    return parsePrimary();
+      op = UnaryOp::kNot;
+    else if (accept(TokenKind::kMinus))
+      op = UnaryOp::kNeg;
+    else
+      return parsePrimary();
+    descend();
+    ExprPtr operand = parseUnary();
+    --depth_;
+    ++height_;
+    return makeUnary(op, std::move(operand));
   }
 
   ExprPtr parsePrimary() {
-    if (at(TokenKind::kIntLit)) return makeIntLit(take().intValue);
+    height_ = 0;
+    if (at(TokenKind::kIntLit))  // the lexer caps literals at 2^31-1
+      return makeIntLit(static_cast<std::int32_t>(take().intValue));
     if (accept(TokenKind::kKwTrue)) return makeIntLit(1);
     if (accept(TokenKind::kKwFalse)) return makeIntLit(0);
     if (at(TokenKind::kIdent)) return makeVarRef(take().text);
     if (accept(TokenKind::kLParen)) {
+      if (++parens_ > kMaxNesting) throw tooDeep("parentheses");
       ExprPtr e = parseExpr();
       expect(TokenKind::kRParen, "')'");
+      --parens_;
       return e;
     }
     throw ParseError("expected expression, found " +
@@ -199,18 +239,21 @@ class Parser {
                      cur().line, cur().column);
   }
 
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  Lexer lexer_;
+  Token cur_;  ///< the one token of lookahead
+  int depth_ = 0;   ///< enclosing `if` bodies and unary operators
+  int parens_ = 0;  ///< enclosing parentheses
+  int height_ = 0;  ///< operator height of the expression just parsed
 };
 
 }  // namespace
 
 Program parse(std::string_view source) {
-  return Parser(lex(source)).parseProgram();
+  return Parser(source).parseProgram();
 }
 
 ExprPtr parseExpression(std::string_view source) {
-  return Parser(lex(source)).parseSingleExpression();
+  return Parser(source).parseSingleExpression();
 }
 
 }  // namespace eblocks::behavior

@@ -33,7 +33,7 @@ const char* toString(TokenKind k);
 
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;          // identifier spelling
+  std::string text;          // identifier spelling (kIdent only)
   std::int64_t intValue = 0; // for kIntLit
   int line = 1;              // 1-based source position, for diagnostics
   int column = 1;

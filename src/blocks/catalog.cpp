@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "behavior/parser.h"  // validate behaviors at catalog build time
-
 namespace eblocks::blocks {
 
 namespace {
@@ -24,8 +22,8 @@ BlockTypePtr makeType(std::string name, BlockClass cls,
                       std::vector<std::string> ins,
                       std::vector<std::string> outs, std::string src,
                       bool sequential = false, bool programmable = false) {
-  // Parse once here so a typo in the catalog fails fast, at startup.
-  (void)behavior::parse(src);
+  // BlockType parses the behavior, so a typo in the catalog fails fast,
+  // at startup.
   return std::make_shared<const BlockType>(
       std::move(name), cls, std::move(ins), std::move(outs), std::move(src),
       sequential, programmable);

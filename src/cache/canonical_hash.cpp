@@ -1,10 +1,10 @@
 #include "cache/canonical_hash.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "behavior/parser.h"
 #include "behavior/printer.h"
 #include "behavior/rename.h"
 
@@ -50,12 +50,11 @@ std::string canonicalBehavior(const BlockType& t) {
     renames[t.inputName(i)] = "$i" + std::to_string(i);
   for (int i = 0; i < t.outputCount(); ++i)
     renames[t.outputName(i)] = "$o" + std::to_string(i);
-  behavior::Program p = behavior::parse(t.behaviorSource());
+  const std::shared_ptr<const behavior::Program> p = t.program();
   int k = 0;
-  for (const std::string& v : behavior::declaredVars(p))
+  for (const std::string& v : behavior::declaredVars(*p))
     if (!renames.count(v)) renames[v] = "$v" + std::to_string(k++);
-  behavior::renameVars(p, renames);
-  return behavior::toSource(p);
+  return behavior::toSource(behavior::renamed(*p, renames));
 }
 
 /// Initial WL color: the block's type *semantics*.  Instance names are
@@ -74,7 +73,8 @@ std::uint64_t typeColor(const BlockType& t) {
 
 std::vector<std::uint64_t> initialColors(const Network& net) {
   // Distinct BlockTypePtrs are fingerprinted once (canonicalBehavior
-  // parses, which dominates otherwise).
+  // copies, renames and prints the behavior tree, which dominates
+  // otherwise).
   std::unordered_map<const BlockType*, std::uint64_t> memo;
   std::vector<std::uint64_t> colors(net.blockCount());
   for (BlockId b = 0; b < net.blockCount(); ++b) {

@@ -1,8 +1,11 @@
 #include "codegen/c_emitter.h"
 
 #include <cctype>
-#include <set>
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <unordered_set>
+#include <utility>
 
 namespace eblocks::codegen {
 
@@ -20,9 +23,9 @@ using behavior::UnaryOp;
 class Emitter {
  public:
   Emitter(const MergedProgram& merged, const CEmitOptions& options)
-      : merged_(merged), options_(options) {
-    for (const std::string& v : behavior::declaredVars(merged.program))
-      stateVars_.insert(v);
+      : merged_(merged), options_(options), upper_(upper(prefix())) {
+    for (const StmtPtr& s : merged.program.statements)
+      if (s->kind == StmtKind::kVarDecl) stateVars_.insert(s->name);
   }
 
   std::string run() {
@@ -39,52 +42,104 @@ class Emitter {
  private:
   const std::string& prefix() const { return options_.symbolPrefix; }
 
-  /// Maps a DSL name to its C lvalue.
-  std::string cName(const std::string& name) const {
-    if (name == "tick") return "tick";
-    if (stateVars_.contains(name)) return "st->" + name;
-    for (int k = 0; k < merged_.inputCount(); ++k)
-      if (name == "in" + std::to_string(k))
-        return "in[" + std::to_string(k) + "]";
-    for (int k = 0; k < merged_.outputCount(); ++k)
-      if (name == "out" + std::to_string(k))
-        return "out[" + std::to_string(k) + "]";
+  /// Appends the C lvalue of a DSL name.  Port names are resolved by
+  /// reading the index out of the name (`in3` -> `in[3]`), never by
+  /// building candidate names.
+  void cName(const std::string& name, std::string& out) const {
+    if (name == "tick") {
+      out += "tick";
+      return;
+    }
+    if (stateVars_.contains(name)) {
+      out += "st->";
+      out += name;
+      return;
+    }
+    const std::string_view n = name;
+    for (const auto& [port, count] :
+         {std::pair<std::string_view, int>{"in", merged_.inputCount()},
+          {"out", merged_.outputCount()}}) {
+      if (!isPortName(n, port, count)) continue;
+      out.append(port);
+      out += '[';
+      out.append(n.substr(port.size()));
+      out += ']';
+      return;
+    }
     throw CodegenError("emitC: unknown name '" + name +
                        "' (not a state variable, port, or tick)");
   }
 
-  std::string expr(const Expr& e) const {
+  /// True when `name` is `prefix` followed by the decimal spelling of a
+  /// port index below `count` (as std::to_string writes it: no sign, no
+  /// leading zero).
+  static bool isPortName(std::string_view name, std::string_view prefix,
+                         int count) {
+    if (!name.starts_with(prefix)) return false;
+    const std::string_view digits = name.substr(prefix.size());
+    if (digits.empty() || digits.size() > 9) return false;
+    if (digits.size() > 1 && digits[0] == '0') return false;
+    int k = 0;
+    for (const char c : digits) {
+      if (c < '0' || c > '9') return false;
+      k = k * 10 + (c - '0');
+    }
+    return k < count;
+  }
+
+  void expr(const Expr& e, std::string& out) const {
     switch (e.kind) {
-      case ExprKind::kIntLit:
-        return std::to_string(e.intValue);
+      case ExprKind::kIntLit: {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, e.intValue).ptr);
+        return;
+      }
       case ExprKind::kVarRef:
-        return cName(e.name);
+        cName(e.name, out);
+        return;
       case ExprKind::kUnary:
-        return std::string(e.uop == UnaryOp::kNot ? "!" : "-") + "(" +
-               expr(*e.lhs) + ")";
+        out += e.uop == UnaryOp::kNot ? "!(" : "-(";
+        expr(*e.lhs, out);
+        out += ')';
+        return;
       case ExprKind::kBinary:
-        return "(" + expr(*e.lhs) + " " + toString(e.bop) + " " +
-               expr(*e.rhs) + ")";
+        out += '(';
+        expr(*e.lhs, out);
+        out += ' ';
+        out += toString(e.bop);
+        out += ' ';
+        expr(*e.rhs, out);
+        out += ')';
+        return;
     }
     throw CodegenError("emitC: unreachable expression kind");
   }
 
   void stmt(const Stmt& s, int depth, std::string& out) const {
-    const std::string ind(static_cast<std::size_t>(depth) * 2, ' ');
+    const std::size_t ind = static_cast<std::size_t>(depth) * 2;
     switch (s.kind) {
       case StmtKind::kVarDecl:
         break;  // handled by reset
       case StmtKind::kAssign:
-        out += ind + cName(s.name) + " = " + expr(*s.expr) + ";\n";
+        out.append(ind, ' ');
+        cName(s.name, out);
+        out += " = ";
+        expr(*s.expr, out);
+        out += ";\n";
         break;
       case StmtKind::kIf:
-        out += ind + "if (" + expr(*s.expr) + ") {\n";
+        out.append(ind, ' ');
+        out += "if (";
+        expr(*s.expr, out);
+        out += ") {\n";
         for (const StmtPtr& t : s.thenBody) stmt(*t, depth + 1, out);
         if (!s.elseBody.empty()) {
-          out += ind + "} else {\n";
+          out.append(ind, ' ');
+          out += "} else {\n";
           for (const StmtPtr& t : s.elseBody) stmt(*t, depth + 1, out);
         }
-        out += ind + "}\n";
+        out.append(ind, ' ');
+        out += "}\n";
         break;
     }
   }
@@ -93,39 +148,42 @@ class Emitter {
     out += "/* Generated by eblocks-synth: programmable block program.\n";
     out += " * Merged pre-defined blocks (evaluation order):\n";
     for (BlockId b : merged_.members)
-      out += " *   - block id " + std::to_string(b) + "\n";
-    out += " * Ports: " + std::to_string(merged_.inputCount()) +
-           " input(s), " + std::to_string(merged_.outputCount()) +
-           " output(s).\n";
+      append(out, " *   - block id ", std::to_string(b), "\n");
+    append(out, " * Ports: ", std::to_string(merged_.inputCount()),
+           " input(s), ", std::to_string(merged_.outputCount()),
+           " output(s).\n");
     out += " * Target: any C99 toolchain (paper prototype: PIC16F628).\n */\n";
     out += "#include <stdint.h>\n\n";
-    out += "#define " + upper(prefix()) + "_NUM_IN " +
-           std::to_string(merged_.inputCount()) + "\n";
-    out += "#define " + upper(prefix()) + "_NUM_OUT " +
-           std::to_string(merged_.outputCount()) + "\n\n";
+    append(out, "#define ", upper_, "_NUM_IN ",
+           std::to_string(merged_.inputCount()), "\n");
+    append(out, "#define ", upper_, "_NUM_OUT ",
+           std::to_string(merged_.outputCount()), "\n\n");
   }
 
   void stateStruct(std::string& out) const {
     out += "typedef struct {\n";
     if (stateVars_.empty()) out += "  int32_t unused_;\n";
-    for (const std::string& v : behavior::declaredVars(merged_.program))
-      out += "  int32_t " + v + ";\n";
-    out += "} " + prefix() + "_state_t;\n\n";
+    for (const StmtPtr& s : merged_.program.statements)
+      if (s->kind == StmtKind::kVarDecl)
+        append(out, "  int32_t ", s->name, ";\n");
+    append(out, "} ", prefix(), "_state_t;\n\n");
   }
 
   void resetFunction(std::string& out) const {
-    out += "void " + prefix() + "_reset(" + prefix() + "_state_t* st) {\n";
+    append(out, "void ", prefix(), "_reset(", prefix(), "_state_t* st) {\n");
     for (const StmtPtr& s : merged_.program.statements)
-      if (s->kind == StmtKind::kVarDecl)
-        out += "  st->" + s->name + " = " + expr(*s->expr) + ";\n";
+      if (s->kind == StmtKind::kVarDecl) {
+        append(out, "  st->", s->name, " = ");
+        expr(*s->expr, out);
+        out += ";\n";
+      }
     out += "}\n\n";
   }
 
   void evalFunction(std::string& out) const {
-    out += "void " + prefix() + "_eval(" + prefix() + "_state_t* st,\n";
-    out += "             const int32_t in[" + upper(prefix()) +
-           "_NUM_IN],\n";
-    out += "             int32_t out[" + upper(prefix()) + "_NUM_OUT],\n";
+    append(out, "void ", prefix(), "_eval(", prefix(), "_state_t* st,\n");
+    append(out, "             const int32_t in[", upper_, "_NUM_IN],\n");
+    append(out, "             int32_t out[", upper_, "_NUM_OUT],\n");
     out += "             int32_t tick) {\n";
     if (merged_.inputCount() == 0) out += "  (void)in;\n";
     out += "  (void)tick;\n";
@@ -214,9 +272,17 @@ class Emitter {
     return s;
   }
 
+  /// Appends every part to `out` in order, building no temporaries.
+  template <class... Parts>
+  static void append(std::string& out, const Parts&... parts) {
+    (out += ... += parts);
+  }
+
   const MergedProgram& merged_;
   CEmitOptions options_;
-  std::set<std::string> stateVars_;
+  std::string upper_;  ///< the symbol prefix in upper case
+  /// Declared state variables (views into merged_.program's names).
+  std::unordered_set<std::string_view> stateVars_;
 };
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include "codegen/merge_program.h"
 
 #include <map>
+#include <utility>
 
 #include "behavior/merge.h"
-#include "behavior/parser.h"
 #include "behavior/rename.h"
 #include "codegen/level_order.h"
 
@@ -117,39 +117,31 @@ MergedProgram mergePartitionProgram(const Network& net,
 
   for (BlockId b : merged.members) {
     const BlockType& t = *net.block(b).type;
-    behavior::Program prog;
-    try {
-      prog = behavior::parse(t.behaviorSource());
-    } catch (const std::exception& e) {
-      throw CodegenError("mergePartitionProgram: behavior of '" +
-                         net.block(b).name + "': " + e.what());
-    }
-    behavior::RenameMap renames;
+    // Port renames, in assignment order; a later entry for the same name
+    // wins (an output port shadows a same-named input).
+    std::vector<std::pair<const std::string*, std::string>> ports;
     // Input ports -> wire of internal driver, or programmable input port.
     for (int p = 0; p < t.inputCount(); ++p) {
       const Connection driver = *net.driverOf(b, p);
-      if (partition.test(driver.from.block)) {
-        renames[t.inputName(p)] = snapName(driver.from);
-      } else {
-        renames[t.inputName(p)] =
-            "in" + std::to_string(inPortOfConnection.at(driver));
-      }
+      ports.emplace_back(
+          &t.inputName(p),
+          partition.test(driver.from.block)
+              ? snapName(driver.from)
+              : "in" + std::to_string(inPortOfConnection.at(driver)));
     }
     // Output ports -> wires.
     for (int p = 0; p < t.outputCount(); ++p)
-      renames[t.outputName(p)] =
-          wireName(Endpoint{b, static_cast<std::uint16_t>(p)});
+      ports.emplace_back(&t.outputName(p),
+                         wireName(Endpoint{b, static_cast<std::uint16_t>(p)}));
     // Everything else (state variables) gets a per-member prefix; `tick`
     // is shared by design (all sequential members tick together).
-    auto prefixName = [&](const std::string& n) {
-      if (n == "tick" || renames.contains(n)) return;
-      renames[n] = "b" + std::to_string(b) + "_" + n;
-    };
-    for (const std::string& n : behavior::declaredVars(prog)) prefixName(n);
-    for (const std::string& n : behavior::referencedNames(prog))
-      prefixName(n);
-    for (const std::string& n : behavior::assignedNames(prog)) prefixName(n);
-    behavior::renameVars(prog, renames);
+    const std::string prefix = "b" + std::to_string(b) + "_";
+    behavior::Program prog = behavior::renamed(
+        *t.program(), [&](const std::string& n) -> std::string {
+          for (auto it = ports.rbegin(); it != ports.rend(); ++it)
+            if (*it->first == n) return it->second;
+          return n == "tick" ? n : prefix + n;
+        });
     // Refresh this member's wire snapshots on non-tick passes, inline so
     // downstream members still cascade within a single packet activation.
     for (int p = 0; p < t.outputCount(); ++p) {

@@ -57,8 +57,9 @@ struct MergedProgram {
 };
 
 /// Merges the behaviors of `partition`'s members.  `levels` is the level
-/// table of `net` (core/levels.h).  Throws CodegenError on undriven member
-/// inputs or unparsable member behaviors.
+/// table of `net` (core/levels.h).  Each member's behavior is cloned from
+/// the tree its BlockType owns; nothing is parsed here.  Throws
+/// CodegenError on undriven member inputs.
 MergedProgram mergePartitionProgram(const Network& net,
                                     const BitSet& partition,
                                     const std::vector<int>& levels,

@@ -2,6 +2,9 @@
 
 #include <utility>
 
+#include "behavior/parser.h"
+#include "behavior/printer.h"
+
 namespace eblocks {
 
 const char* toString(BlockClass c) {
@@ -26,6 +29,32 @@ BlockType::BlockType(std::string name, BlockClass cls,
       behavior_(std::move(behaviorSource)),
       sequential_(sequential),
       programmable_(programmable) {
+  checkShape();
+  try {
+    program_ = std::make_shared<const behavior::Program>(
+        behavior::parse(behavior_));
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("behavior of block type '" + name_ +
+                                "': " + e.what());
+  }
+}
+
+BlockType::BlockType(std::string name, BlockClass cls,
+                     std::vector<std::string> inputNames,
+                     std::vector<std::string> outputNames,
+                     const behavior::Program& program, bool sequential,
+                     bool programmable)
+    : name_(std::move(name)),
+      class_(cls),
+      inputs_(std::move(inputNames)),
+      outputs_(std::move(outputNames)),
+      behavior_(behavior::toSource(program)),
+      sequential_(sequential),
+      programmable_(programmable) {
+  checkShape();
+}
+
+void BlockType::checkShape() const {
   if (class_ == BlockClass::kSensor && !inputs_.empty())
     throw std::invalid_argument("sensor block type cannot have inputs: " +
                                 name_);
@@ -35,6 +64,11 @@ BlockType::BlockType(std::string name, BlockClass cls,
   if (programmable_ && class_ != BlockClass::kCompute)
     throw std::invalid_argument("programmable block must be a compute block: " +
                                 name_);
+}
+
+std::shared_ptr<const behavior::Program> BlockType::program() const {
+  if (program_) return program_;
+  return std::make_shared<const behavior::Program>(behavior::parse(behavior_));
 }
 
 }  // namespace eblocks

@@ -20,6 +20,10 @@
 
 namespace eblocks {
 
+namespace behavior {
+struct Program;
+}  // namespace behavior
+
 /// Dense index of a block instance inside a Network.
 using BlockId = std::uint32_t;
 inline constexpr BlockId kNoBlock = 0xffffffffu;
@@ -45,15 +49,31 @@ const char* toString(BlockClass c);
 /// Immutable descriptor of a block type: port lists, class, and the behavior
 /// program (in the behavior DSL; see src/behavior) that the simulator
 /// interprets and the code generator merges.
+///
+/// A type built from behavior text parses it once, here, and shares the
+/// syntax tree with every consumer; text that does not parse is rejected
+/// at construction.  A type built from an in-memory program (a
+/// synthesized programmable block) keeps only the program's printed text.
 class BlockType {
  public:
   /// `behaviorSource` is a program in the behavior DSL.  For sensors it
   /// forwards the environment value; for outputs it consumes the input.
   /// `sequential` marks types with internal state (toggle, delay, ...).
+  /// Throws std::invalid_argument, naming the type, when the behavior
+  /// does not parse (behavior/parser.h, nesting limit included).
   BlockType(std::string name, BlockClass cls,
             std::vector<std::string> inputNames,
             std::vector<std::string> outputNames, std::string behaviorSource,
             bool sequential = false, bool programmable = false);
+
+  /// A type whose behavior is `program`, stored as its printed text
+  /// (behavior::toSource); the tree itself is not kept.  program() parses
+  /// that text again for each caller that asks.
+  BlockType(std::string name, BlockClass cls,
+            std::vector<std::string> inputNames,
+            std::vector<std::string> outputNames,
+            const behavior::Program& program, bool sequential = false,
+            bool programmable = false);
 
   const std::string& name() const { return name_; }
   BlockClass blockClass() const { return class_; }
@@ -68,6 +88,11 @@ class BlockType {
   /// Program text in the behavior DSL (see behavior/parser.h).
   const std::string& behaviorSource() const { return behavior_; }
 
+  /// The behavior's syntax tree: the one parsed at construction, or, for
+  /// a type built from an in-memory program, a fresh parse of its text
+  /// that the caller alone holds.
+  std::shared_ptr<const behavior::Program> program() const;
+
   /// True for blocks with internal state (toggle, trip, delay, pulse...).
   bool sequential() const { return sequential_; }
 
@@ -75,11 +100,15 @@ class BlockType {
   bool programmable() const { return programmable_; }
 
  private:
+  /// Rejects port lists and flags that contradict the class.
+  void checkShape() const;
+
   std::string name_;
   BlockClass class_;
   std::vector<std::string> inputs_;
   std::vector<std::string> outputs_;
   std::string behavior_;
+  std::shared_ptr<const behavior::Program> program_;  ///< null: printed
   bool sequential_;
   bool programmable_;
 };

@@ -5,13 +5,13 @@
 #include <bit>
 #include <limits>
 #include <map>
+#include <memory>
 #include <queue>
 #include <set>
 #include <string_view>
 #include <tuple>
 #include <unordered_map>
 
-#include "behavior/parser.h"
 #include "sim/simulator.h"  // SimError
 
 namespace eblocks::sim {
@@ -274,17 +274,11 @@ struct BatchSimulator::Impl {
     outPortBase_.resize(n + 1, 0);
     for (BlockId b = 0; b < n; ++b) {
       const BlockType& t = *net.block(b).type;
-      behavior::Program parsed;
-      try {
-        parsed = behavior::parse(t.behaviorSource());
-      } catch (const std::exception& e) {
-        throw SimError("block '" + net.block(b).name + "' (" + t.name() +
-                       "): " + e.what());
-      }
+      const std::shared_ptr<const behavior::Program> parsed = t.program();
       Compiler compiler(net.block(b).name);
-      programs_.push_back(compiler.compile(t, parsed));
+      programs_.push_back(compiler.compile(t, *parsed));
       programs_.back().ttValid =
-          detectTruthTable(t, parsed, &programs_.back().ttMinterms);
+          detectTruthTable(t, *parsed, &programs_.back().ttMinterms);
       envs_[b].resize(
           static_cast<std::size_t>(programs_.back().prog.slotCount));
       outPortBase_[b + 1] =

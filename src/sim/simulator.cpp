@@ -2,8 +2,6 @@
 
 #include <tuple>
 
-#include "behavior/parser.h"
-
 namespace eblocks::sim {
 
 Simulator::Simulator(const Network& net, SimOptions opts)
@@ -14,12 +12,7 @@ Simulator::Simulator(const Network& net, SimOptions opts)
   outPortBase_.resize(n + 1, 0);
   for (BlockId b = 0; b < n; ++b) {
     const BlockType& t = *net.block(b).type;
-    try {
-      programs_.push_back(behavior::parse(t.behaviorSource()));
-    } catch (const std::exception& e) {
-      throw SimError("block '" + net.block(b).name + "' (" + t.name() +
-                     "): " + e.what());
-    }
+    programs_.push_back(t.program());
     outPortBase_[b + 1] =
         outPortBase_[b] + static_cast<std::size_t>(t.outputCount());
   }
@@ -44,7 +37,7 @@ void Simulator::reset() {
     for (int p = 0; p < t.outputCount(); ++p) env.set(t.outputName(p), 0);
     env.set("tick", 0);
     if (t.blockClass() == BlockClass::kSensor) env.set("env", 0);
-    behavior::initializeState(programs_[b], env);
+    behavior::initializeState(*programs_[b], env);
     envs_[b] = std::move(env);
   }
   // Power-up evaluation wave: evaluate every block once so constant
@@ -111,7 +104,7 @@ void Simulator::activate(BlockId b, bool isTick) {
   const std::int64_t displayBefore =
       traceBlock && env.has("display") ? env.get("display") : 0;
   try {
-    behavior::execute(programs_[b], env);
+    behavior::execute(*programs_[b], env);
   } catch (const behavior::EvalError& e) {
     throw SimError("block '" + net_->block(b).name + "': " + e.what());
   }

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
@@ -56,8 +57,9 @@ class SimError : public std::runtime_error {
 
 class Simulator {
  public:
-  /// Parses every block's behavior up front; throws on invalid behavior
-  /// source.  The network must outlive the simulator.
+  /// Takes every block's behavior tree from its BlockType
+  /// (BlockType::program()); nothing is parsed here.  The network must
+  /// outlive the simulator.
   explicit Simulator(const Network& net, SimOptions opts = {});
 
   /// Resets all state: re-initializes state variables, sets sensor
@@ -120,7 +122,7 @@ class Simulator {
 
   const Network* net_;
   SimOptions opts_;
-  std::vector<behavior::Program> programs_;      // per block
+  std::vector<std::shared_ptr<const behavior::Program>> programs_;  // per block
   std::vector<behavior::Environment> envs_;      // per block
   std::vector<std::int64_t> lastEmitted_;        // per (block, port), flat
   std::vector<std::size_t> outPortBase_;         // block -> index into flat

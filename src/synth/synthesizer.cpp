@@ -4,7 +4,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "behavior/printer.h"
 #include "blocks/catalog.h"
 #include "codegen/c_emitter.h"
 #include "partition/engine.h"
@@ -109,8 +108,8 @@ SynthResult synthesize(const Network& source, const SynthOptions& options) {
     auto type = std::make_shared<const BlockType>(
         "prog_" + std::to_string(options.spec.inputs) + "x" +
             std::to_string(options.spec.outputs) + "_p" + std::to_string(k),
-        BlockClass::kCompute, std::move(ins), std::move(outs),
-        behavior::toSource(mp.program), sequential, /*programmable=*/true);
+        BlockClass::kCompute, std::move(ins), std::move(outs), mp.program,
+        sequential, /*programmable=*/true);
     std::string instance = "prog" + std::to_string(k);
     while (net.findBlock(instance)) instance += "_";
     progId[k] = net.addBlock(instance, std::move(type));

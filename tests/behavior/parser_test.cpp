@@ -134,5 +134,103 @@ TEST(Parser, RoundTripThroughPrinter) {
   EXPECT_EQ(printed, toSource(p2));  // printer is a fixed point
 }
 
+// --- nesting limit ----------------------------------------------------------
+
+std::string nestedParens(int depth) {
+  return "x = " + std::string(static_cast<std::size_t>(depth), '(') + "a" +
+         std::string(static_cast<std::size_t>(depth), ')') + ";";
+}
+
+std::string unaryChain(int depth) {
+  return "x = " + std::string(static_cast<std::size_t>(depth), '!') + "a;";
+}
+
+std::string nestedIfs(int depth) {
+  std::string src;
+  for (int i = 0; i < depth; ++i) src += "if (a) { ";
+  src += "x = 1;";
+  for (int i = 0; i < depth; ++i) src += " }";
+  return src;
+}
+
+std::string elseIfChain(int ifs) {
+  std::string src = "if (a) { x = 0; }";
+  for (int i = 1; i < ifs; ++i) src += " else if (a) { x = 1; }";
+  return src;
+}
+
+std::string binaryChain(int operators) {
+  std::string src = "x = a";
+  for (int i = 0; i < operators; ++i) src += " + a";
+  return src + ";";
+}
+
+TEST(ParserNesting, ParenthesesAtTheLimitParseAndOneMoreThrows) {
+  EXPECT_NO_THROW(parse(nestedParens(kMaxNesting)));
+  EXPECT_THROW(parse(nestedParens(kMaxNesting + 1)), ParseError);
+}
+
+TEST(ParserNesting, UnaryChainAtTheLimitParsesAndOneMoreThrows) {
+  EXPECT_NO_THROW(parse(unaryChain(kMaxNesting)));
+  EXPECT_THROW(parse(unaryChain(kMaxNesting + 1)), ParseError);
+}
+
+TEST(ParserNesting, NestedIfsAtTheLimitParseAndOneMoreThrows) {
+  EXPECT_NO_THROW(parse(nestedIfs(kMaxNesting)));
+  EXPECT_THROW(parse(nestedIfs(kMaxNesting + 1)), ParseError);
+}
+
+TEST(ParserNesting, ElseIfChainAtTheLimitParsesAndOneMoreThrows) {
+  EXPECT_NO_THROW(parse(elseIfChain(kMaxNesting)));
+  EXPECT_THROW(parse(elseIfChain(kMaxNesting + 1)), ParseError);
+}
+
+TEST(ParserNesting, OperatorChainCountsTheTreeItBuilds) {
+  // `a + a + ...` parses without recursion but builds a left-deep tree,
+  // which every walker then recurses through.
+  EXPECT_NO_THROW(parse(binaryChain(kMaxNesting)));
+  EXPECT_THROW(parse(binaryChain(kMaxNesting + 1)), ParseError);
+}
+
+TEST(ParserNesting, LevelsAddUpAcrossKinds) {
+  // 128 if bodies + 128 unary operators is the limit; one more of
+  // either kind is past it.
+  const auto wrapped = [](int ifs, int unaries) {
+    std::string src;
+    for (int i = 0; i < ifs; ++i) src += "if (a) { ";
+    src += "x = " + std::string(static_cast<std::size_t>(unaries), '-') +
+           "a;";
+    for (int i = 0; i < ifs; ++i) src += " }";
+    return src;
+  };
+  EXPECT_NO_THROW(parse(wrapped(128, 128)));
+  EXPECT_THROW(parse(wrapped(129, 128)), ParseError);
+  EXPECT_THROW(parse(wrapped(128, 129)), ParseError);
+}
+
+TEST(ParserNesting, HostileDepthIsACleanError) {
+  // Half a million open parentheses once overflowed the stack.
+  try {
+    parse(nestedParens(500000));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nested deeper than 256"),
+              std::string::npos);
+  }
+  EXPECT_THROW(parse(unaryChain(500000)), ParseError);
+  EXPECT_THROW(parse(binaryChain(500000)), ParseError);
+}
+
+TEST(ParserNesting, EveryProgramAtTheLimitPrintsToTextThatParses) {
+  // The printer parenthesizes every compound operand, so printed text
+  // has more parentheses than its source; it must still parse.
+  for (const std::string& src :
+       {unaryChain(kMaxNesting), binaryChain(kMaxNesting),
+        nestedIfs(kMaxNesting), elseIfChain(kMaxNesting)}) {
+    const std::string printed = toSource(parse(src));
+    EXPECT_EQ(toSource(parse(printed)), printed);
+  }
+}
+
 }  // namespace
 }  // namespace eblocks::behavior

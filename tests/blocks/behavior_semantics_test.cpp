@@ -3,8 +3,9 @@
 // contract but without packets).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "behavior/interpreter.h"
-#include "behavior/parser.h"
 #include "blocks/catalog.h"
 
 namespace eblocks::blocks {
@@ -14,27 +15,27 @@ namespace {
 class BlockHarness {
  public:
   explicit BlockHarness(const BlockTypePtr& type)
-      : type_(type), program_(behavior::parse(type->behaviorSource())) {
+      : type_(type), program_(type->program()) {
     for (int i = 0; i < type_->inputCount(); ++i)
       env_.set(type_->inputName(i), 0);
     for (int i = 0; i < type_->outputCount(); ++i)
       env_.set(type_->outputName(i), 0);
     env_.set("tick", 0);
     if (type_->blockClass() == BlockClass::kSensor) env_.set("env", 0);
-    behavior::initializeState(program_, env_);
+    behavior::initializeState(*program_, env_);
   }
 
   void in(const std::string& port, std::int64_t v) { env_.set(port, v); }
 
   std::int64_t eval() {
     env_.set("tick", 0);
-    behavior::execute(program_, env_);
+    behavior::execute(*program_, env_);
     return type_->outputCount() > 0 ? env_.get(type_->outputName(0)) : 0;
   }
 
   std::int64_t tick() {
     env_.set("tick", 1);
-    behavior::execute(program_, env_);
+    behavior::execute(*program_, env_);
     return type_->outputCount() > 0 ? env_.get(type_->outputName(0)) : 0;
   }
 
@@ -43,7 +44,7 @@ class BlockHarness {
 
  private:
   BlockTypePtr type_;
-  behavior::Program program_;
+  std::shared_ptr<const behavior::Program> program_;
   behavior::Environment env_;
 };
 
@@ -66,6 +67,10 @@ struct Gate2Case {
   const char* name;
   int expected[4];  // f(00), f(01), f(10), f(11)
 };
+
+// gtest_discover_tests appends the printed parameter to each ctest name;
+// the default byte dump would embed the (ASLR-randomised) `name` pointer.
+void PrintTo(const Gate2Case& c, std::ostream* os) { *os << c.name; }
 
 class Gate2Semantics : public ::testing::TestWithParam<Gate2Case> {};
 

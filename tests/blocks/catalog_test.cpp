@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "behavior/parser.h"
+#include "behavior/ast.h"
+#include "behavior/printer.h"
 
 namespace eblocks::blocks {
 namespace {
@@ -48,9 +49,14 @@ TEST(Catalog, SequentialBlocksAreMarked) {
 }
 
 TEST(Catalog, AllBehaviorsParse) {
+  // Every catalog type owns its parsed tree, and hands out that one tree
+  // rather than parsing again.
   const Catalog& cat = defaultCatalog();
-  for (const std::string& name : cat.names())
-    EXPECT_NO_THROW(behavior::parse(cat.get(name)->behaviorSource())) << name;
+  for (const std::string& name : cat.names()) {
+    const BlockTypePtr t = cat.get(name);
+    ASSERT_NE(t->program(), nullptr) << name;
+    EXPECT_EQ(t->program().get(), t->program().get()) << name;
+  }
 }
 
 TEST(Catalog, ParameterizedTypesAreCachedByName) {
@@ -124,6 +130,23 @@ TEST(BlockType, ClassInvariantsEnforced) {
   EXPECT_THROW(BlockType("bad", BlockClass::kSensor, {}, {"out"}, "", false,
                          /*programmable=*/true),
                std::invalid_argument);
+}
+
+TEST(BlockType, TypeBuiltFromProgramKeepsOnlyItsText) {
+  behavior::Program merged;
+  merged.statements.push_back(
+      behavior::makeVarDecl("q", behavior::makeIntLit(0)));
+  merged.statements.push_back(behavior::makeAssign(
+      "out", behavior::makeUnary(behavior::UnaryOp::kNot,
+                                 behavior::makeVarRef("in0"))));
+  const BlockType t("prog_p0", BlockClass::kCompute, {"in0"}, {"out"},
+                    merged, /*sequential=*/false, /*programmable=*/true);
+  EXPECT_EQ(t.behaviorSource(), behavior::toSource(merged));
+  // No tree is retained: each caller gets a parse of its own.
+  const auto a = t.program();
+  const auto b = t.program();
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(behavior::toSource(*a), t.behaviorSource());
 }
 
 }  // namespace

@@ -69,11 +69,22 @@ TEST(CEmitter, SkeletonAndHarnessAreOptIn) {
 }
 
 TEST(CEmitter, UnknownNameThrows) {
+  // Port-like names that are not ports of this block are unknown too:
+  // an index past the port count, a leading zero, a non-digit suffix.
   MergedProgram m;
+  m.inputEdges.resize(2);
+  m.outputEdges.resize(1);
+  for (const char* name :
+       {"mystery", "out1", "in2", "in01", "in1x", "in", "in-1"}) {
+    m.program = behavior::Program{};
+    m.program.statements.push_back(
+        behavior::makeAssign(name, behavior::makeIntLit(1)));
+    EXPECT_THROW(emitC(m), CodegenError) << name;
+  }
   m.program = behavior::Program{};
   m.program.statements.push_back(
-      behavior::makeAssign("mystery", behavior::makeIntLit(1)));
-  EXPECT_THROW(emitC(m), CodegenError);
+      behavior::makeAssign("out0", behavior::makeVarRef("in1")));
+  EXPECT_NE(emitC(m).find("out[0] = in[1];"), std::string::npos);
 }
 
 TEST(CEmitter, HeaderListsMembersAndPorts) {

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "designs/library.h"
+#include "frame_edit.h"
 #include "io/netlist.h"
 #include "randgen/generator.h"
 #include "synth/synthesizer.h"
@@ -129,6 +130,33 @@ TEST(BinaryNetwork, RoundTripsSynthesizedProgrammableBlocks) {
     EXPECT_EQ(parsed.block(b).type->programmable(),
               result.network.block(b).type->programmable());
   }
+}
+
+TEST(BinaryNetwork, EmbeddedTypesAreParsedAtDecode) {
+  // A decoded embedded type owns its parsed tree like any other type.
+  const Network net = readNetworkBinary(
+      testutil::frameWithEmbeddedBehavior("out = !a;"));
+  ASSERT_NE(net.block(1).type->program(), nullptr);
+  EXPECT_EQ(net.block(1).type->program().get(),
+            net.block(1).type->program().get());
+}
+
+TEST(BinaryRejection, UnparsableEmbeddedBehaviorThrows) {
+  for (const char* behavior :
+       {"out = ;", "out = a", "if (a) { var q = 1; }", "out = @;"}) {
+    try {
+      readNetworkBinary(testutil::frameWithEmbeddedBehavior(behavior));
+      ADD_FAILURE() << "expected BinaryError for: " << behavior;
+    } catch (const BinaryError& e) {
+      EXPECT_NE(std::string(e.what()).find("custom_relay"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Nesting past the parser's limit is rejected the same way.
+  const std::string deep = "out = " + std::string(300, '(') + "a" +
+                           std::string(300, ')') + ";";
+  EXPECT_THROW(readNetworkBinary(testutil::frameWithEmbeddedBehavior(deep)),
+               BinaryError);
 }
 
 TEST(BinaryPartitionRun, RoundTripsBitIdentically) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "../io/frame_edit.h"
 #include "designs/library.h"
 #include "server/client.h"
 #include "server_test_util.h"
@@ -371,6 +372,38 @@ TEST(Server, BadRequestContentRejectedCleanly) {
   result = client.call(good, kCallTimeoutMs);
   ASSERT_TRUE(result.ok());
   expectBitIdentical(net, good, *result.response);
+}
+
+TEST(Server, HostileBehaviorDepthRejectedAtDecode) {
+  // A ~1 MB request whose embedded block type nests 500,000 parentheses
+  // once crashed the daemon in the parser.  It is now refused when the
+  // request's network is decoded -- one kBadRequest -- and the same
+  // daemon keeps serving.
+  Server server(quickOptions(1, 4));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.connectTo("127.0.0.1", server.port(), &error)) << error;
+
+  const std::string deep = "out = " + std::string(500000, '(') + "a" +
+                           std::string(500000, ')') + ";";
+  SynthRequest hostile = paredownRequest(1, designs::figure5());
+  hostile.networkFrame = io::testutil::frameWithEmbeddedBehavior(deep);
+  const CallResult rejected = client.call(hostile, kCallTimeoutMs);
+  ASSERT_TRUE(rejected.error) << "expected kBadRequest";
+  EXPECT_EQ(rejected.error->code, ErrorCode::kBadRequest);
+  EXPECT_NE(rejected.error->message.find("nested deeper"), std::string::npos)
+      << rejected.error->message;
+  // Exactly one reply for the hostile request: nothing else arrives.
+  EXPECT_FALSE(client.nextMessage(200, &error));
+  EXPECT_EQ(server.stats().badRequests, 1u);
+
+  const Network net = designs::byName("Two-Zone Security");
+  const SynthRequest good = paredownRequest(2, net);
+  const CallResult served = client.call(good, kCallTimeoutMs);
+  ASSERT_TRUE(served.ok()) << (served.error ? served.error->message
+                                            : "timeout");
+  expectBitIdentical(net, good, *served.response);
 }
 
 TEST(Server, DisconnectMidJobCancelsAndServerSurvives) {
