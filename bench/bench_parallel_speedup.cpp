@@ -1,34 +1,28 @@
 // Serial vs parallel branch-and-bound on the seeded random designs: wall
 // time, explored nodes, and the (identical) optimum cost at each size --
-// plus a scheduler face-off (work-stealing vs fixed-depth split) on an
-// unbalanced hub-and-spoke tree.
+// plus serial vs work-stealing on an unbalanced hub-and-spoke tree.
 //
-// Both schedulers share the incumbent bound through an atomic and carry
-// the DFS-ordinal tie-break, so every *completed* run is bit-identical
-// to the serial search; the bench asserts that on every run (non-zero
-// exit on mismatch).  Speedup therefore comes purely from wall-clock
+// The parallel workers share the incumbent bound through an atomic and
+// carry the DFS-ordinal tie-break, so every *completed* run is
+// bit-identical to the serial search; the bench asserts that on every
+// run (non-zero exit on mismatch), for the plain search and for a
+// multi-type spot check.  Speedup therefore comes purely from wall-clock
 // parallelism; the bench prints both times plus node counts so runs on
 // different machines stay comparable.  On a multi-core host expect
 // >= 2x at 4 threads on the largest sizes; on a single hardware thread
 // both columns converge.
 //
-// The unbalanced workload is where the schedulers separate: an unseeded
-// deep tree whose strong incumbents live far from the serial DFS
-// frontier.  The fixed split drains its task list in DFS order, so all
-// workers cluster at the head of the list and inherit the serial
-// order's pathology -- node counts stay near serial.  Work-stealing
-// keeps worker 0 on the serial frontier but hands thieves the *front*
-// of a victim's deque, i.e. the subtrees farthest from it, so some
-// worker reaches the incumbent region early and the published bound
-// collapses the rest of the tree.  The bench requires work-stealing to
-// complete no slower than fixed-split (with noise tolerance) -- on this
-// workload it typically finishes in a fraction of fixed-split's time
-// and node count.
+// The unbalanced workload is an unseeded deep tree whose strong
+// incumbents live far from the serial DFS frontier.  Work-stealing keeps
+// worker 0 on the serial frontier but hands thieves the *front* of a
+// victim's deque, i.e. the subtrees farthest from it, so some worker
+// reaches the incumbent region early and the published bound collapses
+// the rest of the tree.
 //
 // Usage: bench_parallel_speedup [max-inner] [per-size] [threads] [limit-s]
 //                               [--json=PATH]
 // With --json the per-size serial/parallel node counts and the
-// hub-and-spoke face-off are recorded as "eblocks-bench-partition/1"
+// hub-and-spoke rows are recorded as "eblocks-bench-partition/1"
 // records; the serial rows are deterministic and diffed against the
 // committed baseline by scripts/compare_bench.py.
 #include <algorithm>
@@ -105,36 +99,29 @@ Network hubAndSpoke(int chainLen) {
   return net;
 }
 
-/// Serial vs both schedulers on the hub-and-spoke tree.  Returns false
-/// when a completed run diverges from serial or work-stealing falls
-/// behind fixed-split beyond the noise tolerance.
-bool unbalancedFaceOff(int threads, double limit,
-                       eblocks::bench::BenchJson& json) {
+/// Serial vs work-stealing on the hub-and-spoke tree.  Returns false
+/// when a completed parallel run diverges from serial.
+bool unbalancedRun(int threads, double limit,
+                   eblocks::bench::BenchJson& json) {
   const Network net = hubAndSpoke(2);
   const int n = static_cast<int>(net.innerBlocks().size());
   const partition::PartitionProblem problem(net, {});
 
   partition::ExhaustiveOptions base;
   base.timeLimitSeconds = limit;  // no seed: the bound must be discovered
-  // The face-off measures how the schedulers cope with a *weakly
+  // This workload measures how the parallel search copes with a *weakly
   // bounded* unbalanced tree, so the admissible pruning layer is
-  // disabled here -- with it on, this workload collapses to a few
-  // thousand nodes and both schedulers finish instantly
-  // (bench_exhaustive_blowup measures that effect).
+  // disabled here -- with it on, the tree collapses to a few thousand
+  // nodes and every run finishes instantly (bench_exhaustive_blowup
+  // measures that effect).
   base.pruningBound = false;
 
   partition::ExhaustiveOptions serialOptions = base;
   serialOptions.threads = 1;
   const auto serial = partition::exhaustiveSearch(problem, serialOptions);
 
-  partition::ExhaustiveOptions fixedOptions = base;
-  fixedOptions.threads = threads;
-  fixedOptions.scheduler = partition::SearchScheduler::kFixedSplit;
-  const auto fixed = partition::exhaustiveSearch(problem, fixedOptions);
-
   partition::ExhaustiveOptions stealOptions = base;
   stealOptions.threads = threads;
-  stealOptions.scheduler = partition::SearchScheduler::kWorkStealing;
   const auto steal = partition::exhaustiveSearch(problem, stealOptions);
 
   std::printf("\nUnbalanced hub-and-spoke tree (%d inner, unseeded, "
@@ -148,7 +135,6 @@ bool unbalancedFaceOff(int threads, double limit,
                 run.timedOut ? "  DID NOT FINISH" : "");
   };
   row("serial", serial);
-  row("fixed-split", fixed);
   row("work-stealing", steal);
   json.add(eblocks::bench::BenchRecord{
       .workload = "hub_spoke/serial/threads=1",
@@ -169,36 +155,21 @@ bool unbalancedFaceOff(int threads, double limit,
 
   if (serial.timedOut) {
     std::printf("  serial hit the limit; raise [limit-s] to compare "
-                "schedulers here\n");
+                "with it here\n");
     return true;
   }
-  bool ok = true;
   if (steal.timedOut) {
     std::printf("  ERROR: work-stealing hit the limit on a workload "
                 "serial completed\n");
-    ok = false;
-  } else if (!identicalRuns(serial, steal, n)) {
+    return false;
+  }
+  if (!identicalRuns(serial, steal, n)) {
     std::printf("  ERROR: work-stealing diverged from serial\n");
-    ok = false;
+    return false;
   }
-  if (!fixed.timedOut && !identicalRuns(serial, fixed, n)) {
-    std::printf("  ERROR: fixed-split diverged from serial\n");
-    ok = false;
-  }
-  // Throughput: completion time, counting a DNF as the full limit (a
-  // lower bound on its true cost).  Work-stealing wins this workload by
-  // 4-7x, so the generous tolerance still catches a real regression
-  // while OS scheduling noise on a contended CI runner cannot red the
-  // build.
-  const double fixedTime = fixed.timedOut ? limit : fixed.seconds;
-  if (steal.seconds > fixedTime * 1.5 + 0.25) {
-    std::printf("  ERROR: work-stealing slower than fixed-split beyond "
-                "tolerance\n");
-    ok = false;
-  }
-  std::printf("  work-stealing vs fixed-split: %.2fx\n",
-              steal.seconds > 0 ? fixedTime / steal.seconds : 0.0);
-  return ok;
+  std::printf("  work-stealing vs serial: %.2fx\n",
+              steal.seconds > 0 ? serial.seconds / steal.seconds : 0.0);
+  return true;
 }
 
 }  // namespace
@@ -214,7 +185,7 @@ int main(int argc, char** argv) {
   const double limit = argc > 4 ? std::atof(argv[4]) : 60.0;
 
   std::printf("Parallel branch-and-bound speedup (PareDown-seeded "
-              "exhaustive search, work-stealing scheduler)\n");
+              "exhaustive search, work-stealing)\n");
   std::printf("per size: %d random designs, %d worker threads vs serial, "
               "limit %.0fs each\n\n", perSize, threads, limit);
   std::printf("%5s | %12s %12s %8s | %14s %14s | %6s %4s\n", "Inner",
@@ -284,7 +255,7 @@ int main(int argc, char** argv) {
         .cost = static_cast<double>(costSum)});
   }
 
-  // The multi-type search shares the same engine; spot-check one size.
+  // The multi-type search runs the same kernel; spot-check one size.
   {
     partition::ProgCostModel model;
     model.preDefinedBlockCost = 1.0;
@@ -302,8 +273,16 @@ int main(int argc, char** argv) {
     parallelOptions.threads = threads;
     const auto parallel =
         partition::multiTypeExhaustive(net, model, parallelOptions);
-    const bool same = serial.result.totalCost(n, model) ==
-                      parallel.result.totalCost(n, model);
+    // Cost, partitions and chosen options: a tie-break divergence in the
+    // typed kernel can keep the cost and still change the answer.
+    bool same = serial.result.totalCost(n, model) ==
+                    parallel.result.totalCost(n, model) &&
+                serial.result.optionIndex == parallel.result.optionIndex &&
+                serial.result.partitions.size() ==
+                    parallel.result.partitions.size();
+    for (std::size_t i = 0; same && i < serial.result.partitions.size(); ++i)
+      same = serial.result.partitions[i].toVector() ==
+             parallel.result.partitions[i].toVector();
     allIdentical = allIdentical && same;
     std::printf("\nmulti-type @12 inner: serial %.4fs, parallel %.4fs "
                 "(%.2fx), cost %.1f, identical: %s\n",
@@ -313,10 +292,10 @@ int main(int argc, char** argv) {
                 parallel.result.totalCost(n, model), same ? "yes" : "NO");
   }
 
-  allIdentical = unbalancedFaceOff(threads, limit, json) && allIdentical;
+  allIdentical = unbalancedRun(threads, limit, json) && allIdentical;
   allIdentical = json.write() && allIdentical;
 
-  std::printf("\nall results identical to serial (and work-stealing >= "
-              "fixed-split): %s\n", allIdentical ? "yes" : "NO");
+  std::printf("\nall results identical to serial: %s\n",
+              allIdentical ? "yes" : "NO");
   return allIdentical ? 0 : 1;
 }

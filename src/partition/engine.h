@@ -32,7 +32,6 @@
 #include "partition/multitype.h"
 #include "partition/problem.h"
 #include "partition/result.h"
-#include "partition/scheduler.h"
 
 namespace eblocks::partition {
 
@@ -46,10 +45,6 @@ struct EngineOptions {
   /// thread, 1 = serial.  Completed searches return identical results at
   /// every thread count; only timed-out runs are scheduling-dependent.
   int threads = 0;
-  /// How parallel strategies distribute search subtrees over workers
-  /// (work-stealing by default; fixed-split kept for comparison).  Does
-  /// not affect results, only load balance -- see scheduler.h.
-  SearchScheduler scheduler = SearchScheduler::kWorkStealing;
   /// Require convex partitions (classical DAG covering; see validity.h).
   bool requireConvex = false;
   /// Exhaustive strategies seed their branch-and-bound with the PareDown
@@ -80,7 +75,8 @@ struct EngineOptions {
   std::uint32_t rngSeed = 1;
   /// Cooperative cancellation, riding the searches' timeout plumbing
   /// (ExhaustiveOptions::cancel / LnsOptions::cancel): when non-null and
-  /// set, the anytime strategies (`exhaustive`, `lns`) stop at their next
+  /// set, the anytime strategies (plain and multi-type `exhaustive`,
+  /// `lns`) stop at their next
   /// periodic check and return the best solution so far with
   /// run.timedOut = true.  The fast constructive strategies (paredown,
   /// aggregation, greedy, fm) finish in milliseconds and ignore it.  The

@@ -2,130 +2,58 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <thread>
-#include <tuple>
 #include <vector>
 
-#include "partition/port_counter.h"
+#include "partition/bnb.h"
 #include "partition/validity.h"
-#include "partition/work_steal.h"
+#include "partition/verify.h"
 
 namespace eblocks::partition {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using detail::Bins;
+using detail::Cut;
 
-constexpr std::int16_t kUncovered = -1;
-
-Clock::time_point deadlineFor(double seconds) {
-  return seconds > 0
-             ? Clock::now() +
-                   std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(seconds))
-             : Clock::time_point::max();
-}
-
-/// Immutable per-search configuration shared by every worker.
-struct SearchContext {
-  SearchContext(const PartitionProblem& p, const ExhaustiveOptions& o)
+/// Immutable per-search configuration of the block-count policy.
+struct CountContext {
+  CountContext(const PartitionProblem& p, const ExhaustiveOptions& o)
       : problem(p),
         options(o),
-        net(p.network()),
-        graph(p.graph()),
-        edgesMode(p.spec().mode == CountingMode::kEdges),
-        inner(p.innerBlocks()),
-        deadline(deadlineFor(o.timeLimitSeconds)) {
+        spec(p.spec()),
+        edgesMode(p.spec().mode == CountingMode::kEdges) {
     // Pre-compute each inner block's irreducible connection counts
     // (edges to non-inner neighbors can never be internalized), indexed
     // by the block's dense inner rank -- the search always knows the
     // rank (its depth), so no per-block-id table is needed.
-    fixedIn.resize(inner.size(), 0);
-    fixedOut.resize(inner.size(), 0);
-    for (std::size_t i = 0; i < inner.size(); ++i) {
-      for (const CompactArc& a : graph.inArcs(inner[i]))
-        if (!graph.isInner(a.neighbor)) ++fixedIn[i];
-      for (const CompactArc& a : graph.outArcs(inner[i]))
-        if (!graph.isInner(a.neighbor)) ++fixedOut[i];
-    }
-    if (o.pruningBound) {
-      // The admissible-bound layer's static half: the frozen-set root
-      // (non-inner blocks can never join any bin) and the unbinnable
-      // suffix floor -- a block whose own mode-aware irreducible I/O
-      // exceeds the budget is coverable by no feasible bin, so every
-      // valid completion leaves it uncovered at cost +1.
-      baseFrozen = graph.nonInnerSet();
-      suffixUnbinnable.assign(inner.size() + 1, 0);
-      for (std::size_t i = inner.size(); i-- > 0;) {
-        const IoCount own =
-            irreducibleBlockIo(net, inner[i], p.spec().mode);
-        const bool unbinnable = own.inputs > p.spec().inputs ||
-                                own.outputs > p.spec().outputs;
-        suffixUnbinnable[i] = suffixUnbinnable[i + 1] + (unbinnable ? 1 : 0);
-      }
-    }
+    for (const BlockId b : p.innerBlocks())
+      fixed.push_back(
+          irreducibleBlockIo(p.network(), b, CountingMode::kEdges));
+    // The admissible-bound layer's unbinnable suffix floor: a block whose
+    // own mode-aware irreducible I/O exceeds the budget is coverable by
+    // no feasible bin, so every valid completion leaves it uncovered at
+    // cost +1.
+    if (o.pruningBound)
+      suffixUnbinnable = detail::suffixUnbinnable(
+          p.network(), p.innerBlocks(), spec.mode,
+          [&](const IoCount& own) { return !fits(own, spec); });
   }
 
   const PartitionProblem& problem;
   const ExhaustiveOptions& options;
-  const Network& net;
-  const CompactGraph& graph;
+  const ProgBlockSpec& spec;
   bool edgesMode;
-  const std::vector<BlockId>& inner;
   // Irreducible in/out connection counts per *inner rank* (not block id).
-  std::vector<int> fixedIn, fixedOut;
-  // pruningBound statics (empty / unused when the layer is off).
-  std::vector<int> suffixUnbinnable;
-  BitSet baseFrozen;
+  std::vector<IoCount> fixed;
+  std::vector<int> suffixUnbinnable;  // empty when pruningBound is off
   /// Strict cost bound from the initial incumbent: nodes at or above it
   /// prune.  "Replace nothing" baseline -> n; a cheaper heuristic seed
   /// -> seedCost + 1 (equal-cost solutions must stay reachable so the
   /// returned optimum is bit-identical to the unseeded search's).
   int initialBound = 0;
-  Clock::time_point deadline;
-};
-
-/// One unit of parallel work: the assignment of the first `choice.size()`
-/// inner blocks (kUncovered, a bin index, or the number of bins open so
-/// far meaning "open a new bin"), plus the half-open DFS-ordinal range
-/// [ordLo, ordHi) owned by the subtree.
-///
-/// Ordinals realize the deterministic tie-break: the serial DFS visits
-/// subtrees in ordinal order, every leaf reached inside a task carries an
-/// ordinal from the task's range, and ranges of distinct tasks are
-/// disjoint -- so "earlier in serial DFS order" is exactly "smaller
-/// ordinal", no matter which worker runs the subtree or when.  When a
-/// range becomes too narrow to subdivide, the whole remaining subtree
-/// shares ordLo and runs inline on one worker, whose in-order DFS settles
-/// the remaining ties.
-struct Task {
-  std::vector<std::int16_t> choice;
-  std::uint32_t ordLo = 1;
-  std::uint32_t ordHi = std::numeric_limits<std::uint32_t>::max();
-};
-
-/// Mutable state shared across workers.
-///
-/// The incumbent is a packed (cost, DFS-ordinal) pair: ordinal 0 is the
-/// initial seed/baseline incumbent.  A node with ordinal o prunes iff
-/// ((costSoFar << 32) | o) >= liveKey, which is exactly the
-/// lexicographic rule "worse cost, or equal cost but not earlier in
-/// serial DFS order".  This keeps the subtree containing the serial
-/// winner alive while still pruning equal-cost subtrees behind it, so
-/// the parallel result is bit-identical to the serial one.
-struct SharedState {
-  std::atomic<std::uint64_t> liveKey{0};
-  std::atomic<bool> timedOut{false};
-  /// Nodes charged against ExhaustiveOptions::nodeBudget, in 4096-node
-  /// granules (workers charge a granule each time their periodic check
-  /// fires, so the counter lags explored_ by at most one granule per
-  /// worker).
-  std::atomic<std::uint64_t> budgetUsed{0};
 };
 
 std::uint64_t packKey(int cost, std::uint32_t ordinal) {
@@ -134,297 +62,85 @@ std::uint64_t packKey(int cost, std::uint32_t ordinal) {
          ordinal;
 }
 
-/// Depth-first branch-and-bound below one task's prefix.  One instance
-/// per worker thread; reused across tasks.  Accumulates the worker's best
-/// solution as a packed (cost, ordinal) key plus partitioning; the final
-/// reduction takes the smallest key over all workers.
-class Worker {
+/// The block-count cost policy: cost = open bins + uncovered blocks.
+///
+/// The shared incumbent is a packed (cost, DFS-ordinal) pair: ordinal 0
+/// is the initial seed/baseline incumbent.  A node with ordinal o prunes
+/// iff ((costSoFar << 32) | o) >= liveKey, which is exactly the
+/// lexicographic rule "worse cost, or equal cost but not earlier in
+/// serial DFS order".  This keeps the subtree containing the serial
+/// winner alive while still pruning equal-cost subtrees behind it, so
+/// the parallel result is bit-identical to the serial one.  Each worker
+/// accumulates its best solution under the same key; the reduction takes
+/// the smallest key over all workers.
+class CountPolicy {
  public:
-  Worker(const SearchContext& ctx, SharedState& shared,
-         detail::WorkStealingPool<Task>* pool, int workerId)
+  CountPolicy(const CountContext& ctx, std::atomic<std::uint64_t>& liveKey)
       : ctx_(ctx),
-        shared_(shared),
-        pool_(pool),
-        workerId_(workerId),
-        pruning_(ctx.options.pruningBound),
-        frozen_(ctx.baseFrozen),
-        bestKey_(packKey(ctx.initialBound, 0)) {
-    bins_.reserve(ctx.inner.size() + 1);
-    choice_.reserve(ctx.inner.size());
-  }
+        liveKey_(liveKey),
+        bestKey_(packKey(ctx.initialBound, 0)),
+        binFixed_(ctx.fixed.size() + 1) {}
 
-  void runTask(const Task& task) {
+  void startTask(std::size_t liveBins) {
     localBest_ = ctx_.initialBound;
-    resetBins();
-    choice_ = task.choice;  // copy into retained capacity
-    int uncovered = 0;
-    for (std::size_t i = 0; i < task.choice.size(); ++i) {
-      const std::int16_t c = task.choice[i];
-      const BlockId b = ctx_.inner[i];
-      if (c == kUncovered) {
-        ++uncovered;
-        if (pruning_) freezeAssigned(b, kNoOwnBin);
-        continue;
-      }
-      if (static_cast<std::size_t>(c) == binCount_) openBin();
-      addToBin(static_cast<std::size_t>(c), i);
-      if (pruning_) freezeAssigned(b, static_cast<std::size_t>(c));
-    }
-    dfs(task.choice.size(), uncovered, task.ordLo, task.ordHi);
+    std::fill_n(binFixed_.begin(), liveBins, IoCount{});
   }
 
-  /// A recycled task frame for the next push: its choice vector keeps
-  /// the capacity it grew while circulating through the pool, so
-  /// steady-state splits copy into existing storage instead of
-  /// allocating.  Frames come back via recycleFrame() after execution.
-  Task takeFrame() {
-    if (frames_.empty()) return {};
-    Task t = std::move(frames_.back());
-    frames_.pop_back();
-    return t;
+  // Per-bin irreducible connection counts (edges from/to non-inner
+  // blocks), for the edges-mode child filter below.
+  void added(std::size_t j, std::size_t i) {
+    binFixed_[j].inputs += ctx_.fixed[i].inputs;
+    binFixed_[j].outputs += ctx_.fixed[i].outputs;
   }
-  void recycleFrame(Task&& t) { frames_.push_back(std::move(t)); }
-
-  std::uint64_t explored() const { return explored_; }
-  std::uint64_t pruned() const { return pruned_; }
-  std::uint64_t bestKey() const { return bestKey_; }
-  Partitioning takeBest() { return std::move(best_); }
-
- private:
-  static constexpr std::size_t kNoOwnBin = static_cast<std::size_t>(-1);
-
-  struct Bin {
-    Bin(const CompactGraph& graph, CountingMode mode, const BitSet* frozen)
-        : counter(graph, mode, BorderTracking::kOff, frozen) {}
-    PortCounter counter;
-    int fixedIn = 0;   // irreducible inputs (edges from non-inner blocks)
-    int fixedOut = 0;  // irreducible outputs (edges to non-inner blocks)
-  };
-
-  void resetBins() {
-    for (std::size_t j = 0; j < binCount_; ++j) {
-      bins_[j].counter.clear();
-      bins_[j].fixedIn = 0;
-      bins_[j].fixedOut = 0;
-    }
-    binCount_ = 0;
-    if (pruning_) frozen_ = ctx_.baseFrozen;
+  void removed(std::size_t j, std::size_t i) {
+    binFixed_[j].outputs -= ctx_.fixed[i].outputs;
+    binFixed_[j].inputs -= ctx_.fixed[i].inputs;
   }
 
-  void openBin() {
-    if (binCount_ == bins_.size())
-      bins_.emplace_back(ctx_.graph, ctx_.problem.spec().mode,
-                         pruning_ ? &frozen_ : nullptr);
-    ++binCount_;
+  /// Edges mode: a bin whose connections to non-inner blocks would
+  /// overflow the budget can never become valid, so the child is skipped.
+  bool joins(std::size_t j, std::size_t i) const {
+    return !ctx_.edgesMode ||
+           fits({binFixed_[j].inputs + ctx_.fixed[i].inputs,
+                 binFixed_[j].outputs + ctx_.fixed[i].outputs},
+                ctx_.spec);
+  }
+  bool opens(std::size_t i) const {
+    return !ctx_.edgesMode || fits(ctx_.fixed[i], ctx_.spec);
   }
 
-  /// Marks just-assigned block `b` frozen (its fate is fixed for the
-  /// whole subtree) and tells every *other* open bin, whose crossing
-  /// edges to `b` just turned irreducible.  `own` is the bin `b` joined
-  /// (kNoOwnBin when left uncovered).
-  void freezeAssigned(BlockId b, std::size_t own) {
-    frozen_.set(b);
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (j != own) bins_[j].counter.freeze(b);
-  }
-
-  void unfreezeAssigned(BlockId b, std::size_t own) {
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (j != own) bins_[j].counter.unfreeze(b);
-    frozen_.reset(b);
-  }
-
-  /// True when some open bin's irreducible crossing I/O already exceeds
-  /// the port budget: every completion of this subtree keeps that I/O
-  /// crossing, so no valid leaf exists below.
-  bool binInfeasible() const {
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (!fits(bins_[j].counter.fixedIo(), ctx_.problem.spec()))
-        return true;
-    return false;
-  }
-
-  // Bin updates take the block's dense inner rank `i` (the search
-  // depth); the fixed-I/O tables are rank-indexed.
-  void addToBin(std::size_t j, std::size_t i) {
-    bins_[j].counter.add(ctx_.inner[i]);
-    bins_[j].fixedIn += ctx_.fixedIn[i];
-    bins_[j].fixedOut += ctx_.fixedOut[i];
-  }
-
-  void removeFromBin(std::size_t j, std::size_t i) {
-    bins_[j].fixedOut -= ctx_.fixedOut[i];
-    bins_[j].fixedIn -= ctx_.fixedIn[i];
-    bins_[j].counter.remove(ctx_.inner[i]);
-  }
-
-  bool fixedOverflow(std::size_t j, std::size_t i) const {
-    return ctx_.edgesMode &&
-           (bins_[j].fixedIn + ctx_.fixedIn[i] > ctx_.problem.spec().inputs ||
-            bins_[j].fixedOut + ctx_.fixedOut[i] >
-                ctx_.problem.spec().outputs);
-  }
-
-  bool canOpenNewBin(std::size_t i) const {
-    return !(ctx_.edgesMode &&
-             (ctx_.fixedIn[i] > ctx_.problem.spec().inputs ||
-              ctx_.fixedOut[i] > ctx_.problem.spec().outputs));
-  }
-
-  bool timeExpired() {
-    if (aborted_) return true;
-    if ((explored_ & 0xfff) == 0) {
-      if (ctx_.options.progressNodes)
-        ctx_.options.progressNodes->fetch_add(0x1000,
-                                              std::memory_order_relaxed);
-      if (shared_.timedOut.load(std::memory_order_relaxed)) {
-        aborted_ = true;
-      } else if (Clock::now() > ctx_.deadline ||
-                 (ctx_.options.cancel &&
-                  ctx_.options.cancel->load(std::memory_order_relaxed))) {
-        shared_.timedOut.store(true, std::memory_order_relaxed);
-        aborted_ = true;
-      } else if (ctx_.options.nodeBudget != 0 &&
-                 shared_.budgetUsed.fetch_add(
-                     0x1000, std::memory_order_relaxed) +
-                         0x1000 >=
-                     ctx_.options.nodeBudget) {
-        shared_.timedOut.store(true, std::memory_order_relaxed);
-        aborted_ = true;
-      }
-    }
-    return aborted_;
-  }
-
-  bool boundPrunes(int costSoFar, std::uint32_t lo) const {
-    if (costSoFar >= localBest_) return true;
-    return packKey(costSoFar, lo) >=
-           shared_.liveKey.load(std::memory_order_relaxed);
-  }
-
-  void dfs(std::size_t idx, int uncovered, std::uint32_t lo,
-           std::uint32_t hi) {
-    ++explored_;
-    if (timeExpired()) return;
+  Cut bound(Bins bins, std::size_t idx, int uncovered,
+            std::uint32_t lo) const {
     // Lower bound on the final cost: every open bin stays a bin, every
     // uncovered block stays uncovered.
-    const int costSoFar = static_cast<int>(binCount_) + uncovered;
-    if (boundPrunes(costSoFar, lo)) return;
-    if (pruning_) {
+    const int costSoFar = static_cast<int>(bins.size()) + uncovered;
+    if (prunes(costSoFar, lo)) return Cut::kCut;
+    if (ctx_.options.pruningBound) {
       // The admissible layer: remaining unbinnable blocks each add +1 to
       // any valid completion, and a bin whose irreducible I/O already
-      // overflows admits no valid completion at all.  Counted as a
-      // pruned subtree only here, where the baseline bound above did not
-      // already cut the node.
+      // overflows admits no valid completion at all (every completion
+      // keeps that I/O crossing).
       const int floor = ctx_.suffixUnbinnable[idx];
-      if ((floor > 0 && boundPrunes(costSoFar + floor, lo)) ||
-          binInfeasible()) {
-        ++pruned_;
-        return;
-      }
+      if (floor > 0 && prunes(costSoFar + floor, lo)) return Cut::kPruned;
+      for (const PortCounter& bin : bins)
+        if (!fits(bin.fixedIo(), ctx_.spec)) return Cut::kPruned;
     }
-    if (idx == ctx_.inner.size()) {
-      finish(uncovered, lo);
-      return;
-    }
-    const BlockId b = ctx_.inner[idx];
-    // Children, in serial DFS order: join each feasible open bin, open a
-    // new bin (all empty bins are interchangeable, so a single branch
-    // suffices -- the paper's symmetry pruning), leave uncovered.
-    const std::size_t openBins = binCount_;
-    const bool newBin = canOpenNewBin(idx);
-    // Ordinal ranges are split only where a child could be offloaded
-    // (parallel pool present, subtree above the leaf margin): everywhere
-    // else -- the serial and fixed-split modes, and the leaf region that
-    // dominates node counts -- children inherit [lo, hi) wholesale and
-    // the within-task DFS order settles ties, sparing the hot path the
-    // child-count scan and the split arithmetic.
-    std::optional<detail::RangeSplitter> ranges;
-    if (pool_ != nullptr && ctx_.inner.size() - idx > detail::kLeafMargin) {
-      std::size_t k = 1;  // "leave uncovered" is always a child
-      for (std::size_t j = 0; j < openBins; ++j)
-        if (!fixedOverflow(j, idx)) ++k;
-      if (newBin) ++k;
-      ranges.emplace(lo, hi, k);
-    }
-    // A child subtree is offloaded to the pool instead of recursed into
-    // when peers are starved -- except the first child, which this worker
-    // always walks itself (guaranteed progress, and the earliest ordinals
-    // stay on the worker that already holds the bins).
-    const bool offloadable = ranges && ranges->offloadable();
-    bool firstChild = true;
-    // Visits child `c` with its ordinal slice: either inline (apply the
-    // choice, recurse, undo) or as a pushed task built in a recycled
-    // frame (no allocation once frame capacities have warmed up).
-    const auto visit = [&](std::int16_t c, int childUncovered,
-                           auto&& apply, auto&& undo) {
-      std::uint32_t clo = lo, chi = hi;
-      if (ranges) std::tie(clo, chi) = ranges->next();
-      const bool inlineChild = firstChild;
-      firstChild = false;
-      if (!inlineChild && offloadable && pool_->hungry() > 0 &&
-          pool_->queueDepth(workerId_) < detail::kMaxLocalBacklog) {
-        Task t = takeFrame();
-        t.choice = choice_;
-        t.choice.push_back(c);
-        t.ordLo = clo;
-        t.ordHi = chi;
-        pool_->push(workerId_, std::move(t));
-        return;
-      }
-      apply();
-      choice_.push_back(c);
-      dfs(idx + 1, childUncovered, clo, chi);
-      choice_.pop_back();
-      undo();
-    };
-    for (std::size_t j = 0; j < openBins; ++j) {
-      if (fixedOverflow(j, idx)) continue;  // irreducible I/O over budget
-      visit(static_cast<std::int16_t>(j), uncovered,
-            [&] {
-              addToBin(j, idx);
-              if (pruning_) freezeAssigned(b, j);
-            },
-            [&] {
-              if (pruning_) unfreezeAssigned(b, j);
-              removeFromBin(j, idx);
-            });
-    }
-    if (newBin) {
-      visit(static_cast<std::int16_t>(openBins), uncovered,
-            [&] {
-              openBin();
-              addToBin(binCount_ - 1, idx);
-              if (pruning_) freezeAssigned(b, binCount_ - 1);
-            },
-            [&] {
-              if (pruning_) unfreezeAssigned(b, binCount_ - 1);
-              removeFromBin(binCount_ - 1, idx);
-              --binCount_;
-            });
-    }
-    visit(kUncovered, uncovered + 1,
-          [&] {
-            if (pruning_) freezeAssigned(b, kNoOwnBin);
-          },
-          [&] {
-            if (pruning_) unfreezeAssigned(b, kNoOwnBin);
-          });
+    return Cut::kOpen;
   }
 
-  void finish(int uncovered, std::uint32_t lo) {
-    const int cost = static_cast<int>(binCount_) + uncovered;
+  void leaf(Bins bins, int uncovered, std::uint32_t lo) {
+    const int cost = static_cast<int>(bins.size()) + uncovered;
     if (cost >= localBest_) return;
-    for (std::size_t j = 0; j < binCount_; ++j) {
-      const Bin& bin = bins_[j];
-      if (bin.counter.memberCount() < 2)
+    for (const PortCounter& bin : bins) {
+      if (bin.memberCount() < 2)
         return;  // single-node partitions are invalid
-      if (!fits(bin.counter.io(), ctx_.problem.spec())) return;
+      if (!fits(bin.io(), ctx_.spec)) return;
       if (ctx_.options.requireConvex &&
-          !isConvex(ctx_.net, bin.counter.members()))
+          !isConvex(ctx_.problem.network(), bin.members()))
         return;
     }
-    if (ctx_.options.requireAcyclicQuotient && !quotientAcyclic()) return;
+    if (ctx_.options.requireAcyclicQuotient && !quotientAcyclic(bins))
+      return;
     // Tie handling: within a task only strict cost improvements are
     // recorded, so the first optimum found in DFS order is kept; across
     // tasks the packed (cost, ordinal) key decides.
@@ -433,31 +149,39 @@ class Worker {
     if (key < bestKey_) {
       bestKey_ = key;
       best_.partitions.clear();
-      for (std::size_t j = 0; j < binCount_; ++j)
-        best_.partitions.push_back(bins_[j].counter.members());
+      for (const PortCounter& bin : bins)
+        best_.partitions.push_back(bin.members());
     }
     // Publish to the shared incumbent (monotone lexicographic minimum).
-    std::uint64_t cur = shared_.liveKey.load(std::memory_order_relaxed);
-    while (key < cur && !shared_.liveKey.compare_exchange_weak(
-                            cur, key, std::memory_order_relaxed)) {
-    }
+    detail::lowerTo(liveKey_, key);
+  }
+
+  std::uint64_t bestKey() const { return bestKey_; }
+  Partitioning takeBest() { return std::move(best_); }
+
+ private:
+  bool prunes(int costSoFar, std::uint32_t lo) const {
+    if (costSoFar >= localBest_) return true;
+    return packKey(costSoFar, lo) >=
+           liveKey_.load(std::memory_order_relaxed);
   }
 
   /// Checks that contracting every bin leaves the block graph acyclic.
-  bool quotientAcyclic() const {
+  bool quotientAcyclic(Bins bins) const {
+    const Network& net = ctx_.problem.network();
     // Map each block to its group: bins get ids [n, n+k), others self.
-    const std::size_t n = ctx_.net.blockCount();
+    const std::size_t n = net.blockCount();
     std::vector<std::uint32_t> group(n);
     for (std::size_t i = 0; i < n; ++i)
       group[i] = static_cast<std::uint32_t>(i);
-    for (std::size_t k = 0; k < binCount_; ++k)
-      bins_[k].counter.members().forEach([&](std::size_t b) {
+    for (std::size_t k = 0; k < bins.size(); ++k)
+      bins[k].members().forEach([&](std::size_t b) {
         group[b] = static_cast<std::uint32_t>(n + k);
       });
-    const std::size_t total = n + binCount_;
+    const std::size_t total = n + bins.size();
     std::vector<std::vector<std::uint32_t>> adj(total);
     std::vector<int> indeg(total, 0);
-    for (const Connection& c : ctx_.net.connections()) {
+    for (const Connection& c : net.connections()) {
       const std::uint32_t u = group[c.from.block], v = group[c.to.block];
       if (u == v) continue;
       adj[u].push_back(v);
@@ -477,95 +201,12 @@ class Worker {
     return seen == total;
   }
 
-  const SearchContext& ctx_;
-  SharedState& shared_;
-  detail::WorkStealingPool<Task>* pool_;  // null = no splitting (fixed mode)
-  int workerId_ = 0;
-  bool pruning_ = false;
-  BitSet frozen_;  // non-inner + assigned prefix; bins point at this
-  std::vector<Bin> bins_;  // pool; the first binCount_ entries are live
-  std::size_t binCount_ = 0;
-  std::vector<std::int16_t> choice_;  // live assignment of blocks [0, idx)
-  std::vector<Task> frames_;  // recycled task frames (see takeFrame)
+  const CountContext& ctx_;
+  std::atomic<std::uint64_t>& liveKey_;
   int localBest_ = 0;
   std::uint64_t bestKey_;
   Partitioning best_;
-  std::uint64_t explored_ = 0;
-  std::uint64_t pruned_ = 0;
-  bool aborted_ = false;
-};
-
-/// Enumerates every surviving assignment of the first `depth` inner blocks
-/// in serial DFS order -- the kFixedSplit task generator.  Applies only
-/// deterministic prunes (the initial bound and the irreducible-I/O rule),
-/// so the task list is a superset of the subtrees the serial search would
-/// enter -- including equal-cost ties.
-class PrefixGenerator {
- public:
-  explicit PrefixGenerator(const SearchContext& ctx) : ctx_(ctx) {}
-
-  std::vector<Task> generate(std::size_t depth, std::uint64_t& explored) {
-    depth_ = depth;
-    tasks_.clear();
-    choice_.clear();
-    binFixedIn_.clear();
-    binFixedOut_.clear();
-    explored_ = 0;
-    gen(0, 0);
-    explored = explored_;
-    return std::move(tasks_);
-  }
-
- private:
-  void gen(std::size_t idx, int uncovered) {
-    ++explored_;
-    const int costSoFar = static_cast<int>(binFixedIn_.size()) + uncovered;
-    if (costSoFar >= ctx_.initialBound) return;
-    if (idx == depth_ || idx == ctx_.inner.size()) {
-      // Task i owns the degenerate ordinal range [i+1, i+2): the fixed
-      // split never subdivides further, so one ordinal per task is
-      // exactly the PR-2 tie-break.
-      const auto ord = static_cast<std::uint32_t>(tasks_.size()) + 1;
-      tasks_.push_back(Task{choice_, ord, ord + 1});
-      return;
-    }
-    const std::size_t openBins = binFixedIn_.size();
-    for (std::size_t j = 0; j < openBins; ++j) {
-      if (ctx_.edgesMode &&
-          (binFixedIn_[j] + ctx_.fixedIn[idx] > ctx_.problem.spec().inputs ||
-           binFixedOut_[j] + ctx_.fixedOut[idx] >
-               ctx_.problem.spec().outputs))
-        continue;
-      binFixedIn_[j] += ctx_.fixedIn[idx];
-      binFixedOut_[j] += ctx_.fixedOut[idx];
-      choice_.push_back(static_cast<std::int16_t>(j));
-      gen(idx + 1, uncovered);
-      choice_.pop_back();
-      binFixedOut_[j] -= ctx_.fixedOut[idx];
-      binFixedIn_[j] -= ctx_.fixedIn[idx];
-    }
-    if (!(ctx_.edgesMode &&
-          (ctx_.fixedIn[idx] > ctx_.problem.spec().inputs ||
-           ctx_.fixedOut[idx] > ctx_.problem.spec().outputs))) {
-      binFixedIn_.push_back(ctx_.fixedIn[idx]);
-      binFixedOut_.push_back(ctx_.fixedOut[idx]);
-      choice_.push_back(static_cast<std::int16_t>(openBins));
-      gen(idx + 1, uncovered);
-      choice_.pop_back();
-      binFixedOut_.pop_back();
-      binFixedIn_.pop_back();
-    }
-    choice_.push_back(kUncovered);
-    gen(idx + 1, uncovered + 1);
-    choice_.pop_back();
-  }
-
-  const SearchContext& ctx_;
-  std::size_t depth_ = 0;
-  std::vector<Task> tasks_;
-  std::vector<std::int16_t> choice_;
-  std::vector<int> binFixedIn_, binFixedOut_;
-  std::uint64_t explored_ = 0;
+  std::vector<IoCount> binFixed_;  // per live bin
 };
 
 }  // namespace
@@ -580,10 +221,10 @@ PartitionRun exhaustiveSearch(const PartitionProblem& problem,
                               const ExhaustiveOptions& options) {
   PartitionRun out;
   out.algorithm = "exhaustive";
-  const auto start = Clock::now();
+  const auto start = detail::Clock::now();
 
-  SearchContext ctx(problem, options);
-  const int n = static_cast<int>(ctx.inner.size());
+  CountContext ctx(problem, options);
+  const int n = problem.innerCount();
 
   // Initial incumbent: "no partitions" is always feasible with cost n.
   // A heuristic seed that beats it is installed at ordinal UINT32_MAX --
@@ -595,131 +236,45 @@ PartitionRun exhaustiveSearch(const PartitionProblem& problem,
   // of the incumbent's ordinal must stay alive.  Unseeded searches keep
   // the historical (n, ordinal 0, bound n) baseline, so their node
   // counts are unchanged.
-  int bestCost = n;
-  std::uint32_t bestOrdinal = 0;
+  std::uint64_t bestKey = packKey(n, 0);
   Partitioning best;
   ctx.initialBound = n;
-  if (options.seed) {
+  // Trust but verify: only use a seed that is actually feasible -- every
+  // partition valid on its own AND all pairwise disjoint (overlap would
+  // understate totalAfter and over-tighten the bound).
+  if (options.seed &&
+      verifyPartitioning(problem, *options.seed,
+                         {.requireConvex = options.requireConvex})
+          .empty()) {
     const int seedCost = options.seed->totalAfter(n);
-    // Trust but verify: only use a seed that is actually feasible --
-    // every partition valid on its own AND all pairwise disjoint
-    // (overlap would understate totalAfter and over-tighten the bound).
-    bool feasible = true;
-    BitSet seen = problem.network().emptySet();
-    for (const BitSet& p : options.seed->partitions) {
-      if (!isValidPartition(problem, p, options.requireConvex))
-        feasible = false;
-      p.forEach([&](std::size_t b) {
-        if (seen.test(b)) feasible = false;
-        seen.set(b);
-      });
-    }
-    if (feasible && seedCost < n) {
-      bestCost = seedCost;
-      bestOrdinal = std::numeric_limits<std::uint32_t>::max();
+    if (seedCost < n) {
+      bestKey = packKey(seedCost, std::numeric_limits<std::uint32_t>::max());
       best = *options.seed;
       ctx.initialBound = seedCost + 1;
     }
   }
 
-  SharedState shared;
-  shared.liveKey.store(packKey(bestCost, bestOrdinal),
-                       std::memory_order_relaxed);
-
-  const int threads = resolveSearchThreads(options.threads);
-  std::uint64_t explored = 0;
-  std::vector<std::unique_ptr<Worker>> workers;
-  std::atomic<std::uint64_t> totalExplored{0};
-  std::atomic<std::uint64_t> totalPruned{0};
-
-  if (options.scheduler == SearchScheduler::kFixedSplit && threads > 1 &&
-      n >= 2) {
-    // Fixed-depth split: cut the tree once at the shallowest depth that
-    // yields enough subtrees to keep every worker busy (the branching
-    // factor is ~3, so this converges in a few cheap enumeration passes),
-    // then drain the list through a shared cursor.
-    PrefixGenerator gen(ctx);
-    const std::size_t target =
-        std::max<std::size_t>(64, static_cast<std::size_t>(threads) * 8);
-    std::uint64_t genExplored = 0;
-    std::vector<Task> tasks;
-    for (std::size_t depth = 1;; ++depth) {
-      tasks = gen.generate(depth, genExplored);
-      if (tasks.size() >= target || depth >= static_cast<std::size_t>(n) ||
-          tasks.size() > 4096)
-        break;
-    }
-    explored += genExplored;
-
-    const int workerCount = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(threads), tasks.size()));
-    workers.resize(static_cast<std::size_t>(std::max(workerCount, 1)));
-    std::atomic<std::size_t> next{0};
-    detail::runOnWorkers(workerCount, [&](int w) {
-      auto worker =
-          std::make_unique<Worker>(ctx, shared, nullptr, w);
-      for (;;) {
-        if (shared.timedOut.load(std::memory_order_relaxed)) break;
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks.size()) break;
-        worker->runTask(tasks[i]);
-      }
-      totalExplored.fetch_add(worker->explored(),
-                              std::memory_order_relaxed);
-      totalPruned.fetch_add(worker->pruned(), std::memory_order_relaxed);
-      workers[static_cast<std::size_t>(w)] = std::move(worker);
-    });
-  } else {
-    // Work-stealing: seed the pool with the whole tree as one task owning
-    // the full ordinal range; workers split subtrees on demand when peers
-    // are starved and steal half a victim's deque when their own is dry.
-    const int workerCount = n >= 2 ? threads : 1;
-    detail::WorkStealingPool<Task> taskPool(workerCount);
-    taskPool.push(0, Task{});
-    workers.resize(static_cast<std::size_t>(workerCount));
-    detail::runOnWorkers(workerCount, [&](int w) {
-      auto worker = std::make_unique<Worker>(
-          ctx, shared, workerCount > 1 ? &taskPool : nullptr, w);
-      Task task;
-      while (taskPool.acquire(w, task, shared.timedOut)) {
-        worker->runTask(task);
-        taskPool.release();
-        // The executed frame's buffer feeds this worker's future splits.
-        worker->recycleFrame(std::move(task));
-      }
-      totalExplored.fetch_add(worker->explored(),
-                              std::memory_order_relaxed);
-      totalPruned.fetch_add(worker->pruned(), std::memory_order_relaxed);
-      workers[static_cast<std::size_t>(w)] = std::move(worker);
-    });
-  }
-  explored += totalExplored.load(std::memory_order_relaxed);
+  std::atomic<std::uint64_t> liveKey{bestKey};
+  const detail::SearchSpace space(problem.graph(), problem.spec().mode,
+                                  options.pruningBound);
+  detail::StopControl control(options.timeLimitSeconds, options.cancel,
+                              options.progressNodes, options.nodeBudget);
+  auto workers = detail::runSearch<CountPolicy>(
+      space, control, resolveSearchThreads(options.threads),
+      [&] { return CountPolicy(ctx, liveKey); });
 
   // Deterministic reduction: every worker accumulated its best solution
   // as a packed (cost, DFS-ordinal) key; the smallest key over all
-  // workers -- against the initial incumbent at ordinal 0 -- reproduces
-  // the serial result bit for bit.
-  std::uint64_t bestKey = packKey(bestCost, bestOrdinal);
+  // workers -- against the initial incumbent -- reproduces the serial
+  // result bit for bit.
   for (const auto& worker : workers) {
-    if (worker && worker->bestKey() < bestKey) {
-      bestKey = worker->bestKey();
-      best = worker->takeBest();
-      bestCost = static_cast<int>(bestKey >> 32);
+    if (worker->policy().bestKey() < bestKey) {
+      bestKey = worker->policy().bestKey();
+      best = worker->policy().takeBest();
     }
   }
-  if (workers.size() > 1)
-    for (const auto& worker : workers)
-      if (worker) {
-        out.workerExplored.push_back(worker->explored());
-        out.workerPruned.push_back(worker->pruned());
-      }
-
   out.result = std::move(best);
-  out.explored = explored;
-  out.pruned = totalPruned.load(std::memory_order_relaxed);
-  out.timedOut = shared.timedOut.load(std::memory_order_relaxed);
-  out.optimal = !out.timedOut;
-  out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  detail::recordEffort(out, workers, control, start);
   return out;
 }
 

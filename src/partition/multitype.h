@@ -15,13 +15,13 @@
 #ifndef EBLOCKS_PARTITION_MULTITYPE_H_
 #define EBLOCKS_PARTITION_MULTITYPE_H_
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "partition/problem.h"
 #include "partition/result.h"
-#include "partition/scheduler.h"
 
 namespace eblocks::partition {
 
@@ -96,8 +96,6 @@ struct MultiTypeExhaustiveOptions {
   /// the identical result (deterministic DFS-order tie-break) unless the
   /// time limit cuts the search short (see exhaustive.h).
   int threads = 0;
-  /// Subtree distribution policy, as in ExhaustiveOptions::scheduler.
-  SearchScheduler scheduler = SearchScheduler::kWorkStealing;
   /// Admissible lower-bound pruning, generalized to the cost model: each
   /// bin's future option cost is floored by the cheapest option fitting
   /// its *irreducible* crossing I/O (a bin fitting no option kills the
@@ -105,9 +103,14 @@ struct MultiTypeExhaustiveOptions {
   /// preDefinedBlockCost.  Bit-identical results on or off; see
   /// exhaustive.h and docs/partitioning.md.
   bool pruningBound = true;
+  /// Cooperative cancellation and live progress, exactly as
+  /// ExhaustiveOptions::cancel and ExhaustiveOptions::progressNodes.
+  const std::atomic<bool>* cancel = nullptr;
+  std::atomic<std::uint64_t>* progressNodes = nullptr;
 };
 
-/// Exhaustive branch-and-bound over assignments and option choices.
+/// Exhaustive branch-and-bound over assignments and option choices: the
+/// kernel of exhaustiveSearch() (bnb.h) under the option cost model.
 TypedPartitionRun multiTypeExhaustive(
     const Network& net, const ProgCostModel& model,
     const MultiTypeExhaustiveOptions& options = {});

@@ -2,16 +2,10 @@
 
 #include <chrono>
 
-#include "partition/port_counter.h"
 #include "partition/validity.h"
 
 namespace eblocks::partition {
 
-namespace {
-
-/// Chooses the border block to remove: least rank, then greatest indegree,
-/// then greatest outdegree, then highest level (paper Section 4.2), then
-/// lowest id for full determinism.
 BlockId chooseRemoval(const Network& net, const std::vector<int>& levels,
                       const std::vector<BlockId>& border,
                       const std::vector<int>& ranks) {
@@ -41,8 +35,6 @@ BlockId chooseRemoval(const Network& net, const std::vector<int>& levels,
   return best;
 }
 
-}  // namespace
-
 PartitionRun pareDown(const PartitionProblem& problem,
                       const PareDownOptions& options) {
   const auto start = std::chrono::steady_clock::now();
@@ -52,63 +44,23 @@ PartitionRun pareDown(const PartitionProblem& problem,
   PartitionRun run;
   run.algorithm = "paredown";
 
-  BitSet blocks =
-      options.restrictTo ? *options.restrictTo : problem.innerSet();
-  // The candidate's port usage, border set, and removal ranks are all
-  // maintained incrementally: each paring round removes one block, so the
-  // counter update is O(degree) instead of a full countIo() /
-  // borderBlocks() / removalRank() rescan of the member set per decision.
-  // The counter walks the problem's shared CSR view (compact_graph.h).
-  PortCounter candidate(problem.graph(), spec.mode, BorderTracking::kOn);
-  PareDownStep step;  // reused across rounds; the buffers keep capacity
-  while (blocks.any()) {
-    candidate.assign(blocks);
-    bool accepted = false;
-    BlockId lastRemoved = kNoBlock;
-    while (candidate.memberCount() > 0) {
-      ++run.explored;
-      step.border.clear();
-      step.ranks.clear();
-      step.removed = kNoBlock;  // step.candidate/io/fits are set below
-      step.io = candidate.io();
-      step.fits = fits(step.io, spec);
-      if (options.trace) step.candidate = candidate.members();
-      if (step.fits) {
-        if (candidate.memberCount() > 1)
-          run.result.partitions.push_back(candidate.members());
+  run.explored = detail::pareDownRounds(
+      net, problem.graph(), spec.mode, problem.levels(),
+      options.restrictTo ? *options.restrictTo : problem.innerSet(),
+      options.strictFigure4,
+      [&](const PortCounter& candidate, PareDownStep& step) {
+        step.io = candidate.io();
+        step.fits = fits(step.io, spec);
+        if (options.trace) step.candidate = candidate.members();
         // A single fitting block is dropped: replacing one pre-defined
         // block with one programmable block brings no reduction.
-        blocks.andNot(candidate.members());
-        accepted = true;
+        if (step.fits && candidate.memberCount() > 1)
+          run.result.partitions.push_back(candidate.members());
+        return step.fits;
+      },
+      [&](const PareDownStep& step) {
         if (options.trace) options.trace(step);
-        break;
-      }
-      candidate.border().forEach([&](std::size_t b) {
-        step.border.push_back(static_cast<BlockId>(b));
-        step.ranks.push_back(candidate.rank(static_cast<BlockId>(b)));
       });
-      if (step.border.empty()) {
-        // Cannot happen on DAGs (a maximal-level member is always border),
-        // but guard against pathological inputs: abandon this candidate.
-        blocks.andNot(candidate.members());
-        if (options.trace) options.trace(step);
-        break;
-      }
-      step.removed =
-          chooseRemoval(net, problem.levels(), step.border, step.ranks);
-      lastRemoved = step.removed;
-      candidate.remove(step.removed);
-      if (options.trace) options.trace(step);
-    }
-    if (!accepted && candidate.memberCount() == 0) {
-      // The candidate pared away entirely without ever fitting ("partition
-      // contains zero blocks").
-      if (options.strictFigure4) break;  // Figure 4 literally returns here
-      // Robust default: the last surviving block is unpartitionable on its
-      // own; retire it and keep decomposing the rest.
-      blocks.reset(lastRemoved);
-    }
-  }
 
   run.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)

@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "partition/port_counter.h"
 #include "partition/problem.h"
 #include "partition/result.h"
 
@@ -53,6 +54,79 @@ struct PareDownOptions {
   /// subset of `problem.innerSet()` over the same universe.
   std::optional<BitSet> restrictTo;
 };
+
+/// Chooses the border block to remove: least rank, then greatest
+/// indegree, then greatest outdegree, then highest level (paper Section
+/// 4.2), then lowest id for full determinism.  `ranks[i]` is the removal
+/// rank of `border[i]`; `border` ascends by id.
+BlockId chooseRemoval(const Network& net, const std::vector<int>& levels,
+                      const std::vector<BlockId>& border,
+                      const std::vector<int>& ranks);
+
+namespace detail {
+
+/// The paring loop of pareDown() and multiTypePareDown(): the candidate
+/// (every block of `blocks` not yet retired) loses its chooseRemoval()
+/// block until `decide(candidate, step)` accepts it -- recording a
+/// partition is decide's business -- and is then retired.
+/// `observe(step)` sees every decision.  Returns the decision count.
+template <typename Decide, typename Observe>
+std::uint64_t pareDownRounds(const Network& net, const CompactGraph& graph,
+                             CountingMode mode,
+                             const std::vector<int>& levels, BitSet blocks,
+                             bool strictFigure4, Decide&& decide,
+                             Observe&& observe) {
+  std::uint64_t decisions = 0;
+  // The candidate's port usage, border set, and removal ranks are all
+  // maintained incrementally: each paring round removes one block, so the
+  // counter update is O(degree) instead of a full countIo() /
+  // borderBlocks() / removalRank() rescan of the member set per decision.
+  PortCounter candidate(graph, mode, BorderTracking::kOn);
+  PareDownStep step;  // reused across rounds; the buffers keep capacity
+  while (blocks.any()) {
+    candidate.assign(blocks);
+    bool accepted = false;
+    BlockId lastRemoved = kNoBlock;
+    while (candidate.memberCount() > 0) {
+      ++decisions;
+      step.border.clear();
+      step.ranks.clear();
+      step.removed = kNoBlock;  // decide() sets step.candidate/io/fits
+      if (decide(candidate, step)) {
+        blocks.andNot(candidate.members());
+        accepted = true;
+        observe(step);
+        break;
+      }
+      candidate.border().forEach([&](std::size_t b) {
+        step.border.push_back(static_cast<BlockId>(b));
+        step.ranks.push_back(candidate.rank(static_cast<BlockId>(b)));
+      });
+      if (step.border.empty()) {
+        // Cannot happen on DAGs (a maximal-level member is always border),
+        // but guard against pathological inputs: abandon this candidate.
+        blocks.andNot(candidate.members());
+        observe(step);
+        break;
+      }
+      step.removed = chooseRemoval(net, levels, step.border, step.ranks);
+      lastRemoved = step.removed;
+      candidate.remove(step.removed);
+      observe(step);
+    }
+    if (!accepted && candidate.memberCount() == 0) {
+      // The candidate pared away entirely without ever fitting ("partition
+      // contains zero blocks").
+      if (strictFigure4) break;  // Figure 4 literally returns here
+      // Robust default: the last surviving block is unpartitionable on its
+      // own; retire it and keep decomposing the rest.
+      blocks.reset(lastRemoved);
+    }
+  }
+  return decisions;
+}
+
+}  // namespace detail
 
 /// Runs PareDown.  Deterministic: ties beyond the paper's three criteria
 /// resolve to the lowest block id.

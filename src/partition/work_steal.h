@@ -1,5 +1,6 @@
-// Work-stealing task pool and subtree-splitting helpers shared by the
-// parallel branch-and-bound searches (exhaustive.cpp and multitype.cpp).
+// Work-stealing task pool and subtree-splitting helpers of the parallel
+// branch-and-bound kernel (bnb.h), which both exact searches run
+// (exhaustive.cpp and multitype.cpp).
 //
 // Design: one deque of tasks per worker.  A worker pushes and pops at the
 // *back* of its own deque (LIFO keeps it close to serial DFS order, which
@@ -7,7 +8,7 @@
 // *half* of a victim's deque (the oldest entries are the shallowest --
 // and therefore largest -- subtrees, so one steal buys a long stretch of
 // independent work).  Workers signal starvation through a shared counter;
-// the searches consult hungry() while walking a subtree and peel off
+// the kernel's workers consult hungry() while walking a subtree and peel off
 // stealable child tasks only when somebody is actually starved, so a
 // single-threaded or well-balanced run degenerates to plain DFS with no
 // task traffic at all.
@@ -22,7 +23,7 @@
 // instead of spinning, so the unsplittable tail of a search does not
 // burn the idle cores.
 //
-// The pool moves *tasks*, not results: determinism is the callers' job
+// The pool moves *tasks*, not results: determinism is the kernel's job
 // (each task carries a DFS-ordinal range split with RangeSplitter; see
 // docs/partitioning.md for the tie-break argument).
 #ifndef EBLOCKS_PARTITION_WORK_STEAL_H_
@@ -35,7 +36,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,8 +57,7 @@ constexpr std::size_t kMaxLocalBacklog = 16;
 
 /// Splits a subtree's half-open ordinal range [lo, hi) into k
 /// consecutive child subranges in DFS order -- the arithmetic behind the
-/// deterministic tie-break, kept in one place so both searches stay in
-/// lock-step.  When the range is too narrow to give every child a
+/// deterministic tie-break.  When the range is too narrow to give every child a
 /// non-empty slice (width < k), splitting is off: every child inherits
 /// the parent range, shares its lo, and must run inline on one worker.
 class RangeSplitter {
@@ -94,28 +93,11 @@ class RangeSplitter {
   std::uint32_t index_ = 0;
 };
 
-/// Runs fn(0..workerCount-1) on workerCount threads (worker 0 on the
-/// calling thread) and joins.
-template <typename Fn>
-void runOnWorkers(int workerCount, Fn&& fn) {
-  if (workerCount <= 1) {
-    fn(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workerCount) - 1);
-  for (int t = 1; t < workerCount; ++t) pool.emplace_back(fn, t);
-  fn(0);
-  for (std::thread& th : pool) th.join();
-}
-
 template <typename Task>
 class WorkStealingPool {
  public:
   explicit WorkStealingPool(int workers)
       : slots_(static_cast<std::size_t>(workers)) {}
-
-  int workers() const { return static_cast<int>(slots_.size()); }
 
   /// Number of workers currently failing to find work.  Searches check
   /// this (relaxed) to decide whether to split their current subtree.

@@ -63,9 +63,10 @@ enum class ErrorCode : std::uint16_t {
 const char* toString(ErrorCode code);
 
 /// A synthesis request.  Options mirror synth::SynthOptions /
-/// partition::EngineOptions; knobs not on the wire (scheduler,
-/// convexity, LNS tuning) take their defaults, so a served result is
-/// bit-identical to a one-shot synthesize() with these options.
+/// partition::EngineOptions; knobs not on the wire (convexity, LNS
+/// tuning) take their defaults, so a served result is bit-identical to
+/// a one-shot synthesize() with these options.  `threads` is capped at
+/// the host's hardware concurrency when the job runs.
 struct SynthRequest {
   std::uint64_t id = 0;  ///< client-chosen, unique per connection
   std::string algorithm = "paredown";  ///< partitioner registry name

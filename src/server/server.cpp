@@ -8,6 +8,7 @@
 #include "cache/canonical_hash.h"
 #include "io/binary.h"
 #include "partition/engine.h"
+#include "partition/exhaustive.h"
 #include "synth/synthesizer.h"
 
 namespace eblocks::server {
@@ -435,7 +436,13 @@ void Server::executorMain() {
         so.algorithm = job->request.algorithm;
         so.spec.inputs = job->request.inputs;
         so.spec.outputs = job->request.outputs;
-        so.engine.threads = job->request.threads;
+        // Capped at the host's hardware concurrency, so one request cannot
+        // make the daemon spawn an unbounded number of OS threads.
+        // Completed searches are bit-identical at every thread count, so
+        // the cap changes only speed (the idempotency key above keeps the
+        // requested value).
+        so.engine.threads = std::min(job->request.threads,
+                                     partition::resolveSearchThreads(0));
         so.engine.timeLimitSeconds = job->request.timeLimitSeconds;
         so.engine.pruningBound = job->request.prune;
         so.engine.cancel = &job->cancel;

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+
 #include "designs/library.h"
 #include "partition/exhaustive.h"
 #include "partition/paredown.h"
 #include "partition/verify.h"
+#include "randgen/generator.h"
 #include "synth/synthesizer.h"
 
 namespace eblocks::partition {
@@ -131,6 +135,33 @@ class NullPartitioner final : public Partitioner {
     return run;
   }
 };
+
+TEST(Engine, TypedExhaustiveHonoursCancelAndProgress) {
+  // Cancelled before it starts: the typed search stops at its first
+  // periodic check -- one 4096-node granule, plus the siblings visited
+  // while the recursion unwinds -- and returns its seed, feasible.
+  const Network net = randgen::randomNetwork({.innerBlocks = 24, .seed = 5});
+  const ProgCostModel model = ProgCostModel::paperDefault();
+  std::atomic<bool> cancel{true};
+  std::atomic<std::uint64_t> progress{0};
+  EngineOptions options;
+  options.threads = 1;
+  options.timeLimitSeconds = 0.0;  // only the cancel flag can stop it
+  options.pruningBound = false;
+  options.cancel = &cancel;
+  options.progressNodes = &progress;
+  const TypedPartitionRun run =
+      runTypedPartitioner("exhaustive", net, model, options);
+  EXPECT_TRUE(run.timedOut);
+  EXPECT_FALSE(run.optimal);
+  EXPECT_GE(run.explored, 0x1000u);
+  EXPECT_LT(run.explored, 2u * 0x1000u);
+  EXPECT_EQ(progress.load(), 0x1000u);
+  EXPECT_TRUE(verifyTypedPartitioning(net, model, run.result).empty());
+  const int n = static_cast<int>(net.innerBlocks().size());
+  EXPECT_LE(run.result.totalCost(n, model),
+            multiTypePareDown(net, model).result.totalCost(n, model));
+}
 
 TEST(Engine, CustomStrategyReachableThroughSynthesize) {
   PartitionerRegistry::instance().add(std::make_unique<NullPartitioner>());

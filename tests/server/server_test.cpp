@@ -98,6 +98,31 @@ TEST(Server, ServesExhaustiveBitIdentical) {
             modulo(local.run));
 }
 
+TEST(Server, SearchThreadsCappedAtHardwareConcurrency) {
+  Server server(quickOptions(1, 4));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client client;
+  ASSERT_TRUE(client.connectTo("127.0.0.1", server.port(), &error)) << error;
+  const Network net = designs::figure5();
+  SynthRequest serial = paredownRequest(4, net);
+  serial.algorithm = "exhaustive";
+  SynthRequest wide = serial;
+  wide.id = 5;
+  wide.threads = 64;
+  const CallResult one = client.call(serial, kCallTimeoutMs);
+  const CallResult many = client.call(wide, kCallTimeoutMs);
+  ASSERT_TRUE(one.ok() && many.ok());
+  // The search ran on at most one worker per hardware thread...
+  const partition::PartitionRun run =
+      io::readPartitionRunBinary(many.response->runFrame);
+  EXPECT_LE(run.workerExplored.size(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  // ...and the cap is invisible in the answer.
+  EXPECT_EQ(many.response->networkFrame, one.response->networkFrame);
+}
+
 TEST(Server, EightConcurrentConnectionsBitIdentical) {
   // The acceptance bar: >= 8 concurrent requests over 8 connections,
   // every served result bit-identical to the local pipeline.

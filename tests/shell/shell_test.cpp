@@ -131,28 +131,24 @@ TEST(Shell, SynthByRegistryNameWithThreads) {
   EXPECT_NE(out.find("8 -> 3"), std::string::npos) << out;
 }
 
-TEST(Shell, SynthSchedulerArgument) {
+TEST(Shell, SynthBogusKeywordArgument) {
   Shell shell;
   exec(shell, "design Podium Timer 3");
-  // Both schedulers reach the identical optimum; bogus names error out.
-  const std::string steal = exec(shell, "synth exhaustive 2 2 2 steal");
-  EXPECT_NE(steal.find("8 -> 3"), std::string::npos) << steal;
-  const std::string split =
-      exec(shell, "synth exhaustive 2 2 2 fixed-split");
-  EXPECT_NE(split.find("8 -> 3"), std::string::npos) << split;
+  // Bogus trailing keywords error out, with or without the numeric
+  // groups -- never pass silently.  The one search scheduler has no
+  // name, so the old scheduler keywords are bogus too.
   EXPECT_NE(exec(shell, "synth exhaustive 2 2 2 bogus").find("error"),
             std::string::npos);
-  // The scheduler is positional but must also parse when the numeric
-  // groups are omitted -- and bad names must error, not pass silently.
-  const std::string noThreads =
-      exec(shell, "synth exhaustive 2 2 fixed-split");
-  EXPECT_NE(noThreads.find("8 -> 3"), std::string::npos) << noThreads;
-  const std::string bare = exec(shell, "synth exhaustive steal");
-  EXPECT_NE(bare.find("8 -> 3"), std::string::npos) << bare;
   EXPECT_NE(exec(shell, "synth exhaustive 2 2 bogus").find("error"),
             std::string::npos);
+  EXPECT_NE(exec(shell, "synth exhaustive 2 2 2 steal")
+                .find("error: unknown synth option"),
+            std::string::npos);
+  EXPECT_NE(exec(shell, "synth exhaustive split")
+                .find("error: unknown synth option"),
+            std::string::npos);
   // A half-given ports group must error, not silently default.
-  EXPECT_NE(exec(shell, "synth exhaustive 3 steal").find("usage"),
+  EXPECT_NE(exec(shell, "synth exhaustive 3 bogus").find("usage"),
             std::string::npos);
 }
 
@@ -160,17 +156,18 @@ TEST(Shell, SynthPruningFlagArgument) {
   Shell shell;
   exec(shell, "design Podium Timer 3");
   // Both settings reach the identical optimum; the flag parses with and
-  // without the numeric groups, in either order with the scheduler.
+  // without the numeric groups, in either order with another keyword.
   const std::string on = exec(shell, "synth exhaustive 2 2 2 prune");
   EXPECT_NE(on.find("8 -> 3"), std::string::npos) << on;
   const std::string off = exec(shell, "synth exhaustive 2 2 2 no-prune");
   EXPECT_NE(off.find("8 -> 3"), std::string::npos) << off;
   const std::string bare = exec(shell, "synth exhaustive no-prune");
   EXPECT_NE(bare.find("8 -> 3"), std::string::npos) << bare;
-  const std::string both = exec(shell, "synth exhaustive 2 2 2 steal prune");
+  const std::string both =
+      exec(shell, "synth exhaustive 2 2 2 limit=60 prune");
   EXPECT_NE(both.find("8 -> 3"), std::string::npos) << both;
   const std::string swapped =
-      exec(shell, "synth exhaustive 2 2 2 prune steal");
+      exec(shell, "synth exhaustive 2 2 2 prune limit=60");
   EXPECT_NE(swapped.find("8 -> 3"), std::string::npos) << swapped;
 }
 
@@ -178,7 +175,7 @@ TEST(Shell, SynthHeuristicKeywordArguments) {
   Shell shell;
   exec(shell, "design Podium Timer 3");
   // The heuristic strategies parse by name and accept the trailing
-  // keywords in any order, mixed with the PR 4 scheduler/pruning words.
+  // keywords in any order, mixed with the pruning flag.
   const std::string fm = exec(shell, "synth fm");
   EXPECT_NE(fm.find("(fm)"), std::string::npos) << fm;
   const std::string greedy = exec(shell, "synth greedy 2 2");
@@ -190,7 +187,7 @@ TEST(Shell, SynthHeuristicKeywordArguments) {
       exec(shell, "synth lns rounds=6 limit=5 pocket=4");
   EXPECT_NE(swapped.find("(lns)"), std::string::npos) << swapped;
   const std::string mixed =
-      exec(shell, "synth exhaustive 2 2 2 limit=5 steal prune");
+      exec(shell, "synth exhaustive 2 2 2 limit=5 prune");
   EXPECT_NE(mixed.find("8 -> 3"), std::string::npos) << mixed;
 }
 
@@ -229,12 +226,12 @@ TEST(Shell, SynthArgumentErrorPaths) {
   EXPECT_NE(exec(shell, "synth exhaustive 2 2 -3").find(
                 "error: thread count"),
             std::string::npos);
-  // Unknown trailing keyword (neither a scheduler nor a pruning flag).
+  // Unknown trailing keyword (neither a pruning flag nor a heuristic knob).
   EXPECT_NE(exec(shell, "synth exhaustive 2 2 2 frobnicate")
                 .find("error: unknown synth option"),
             std::string::npos);
   // Duplicate keywords must error, not silently override.
-  EXPECT_NE(exec(shell, "synth exhaustive steal split")
+  EXPECT_NE(exec(shell, "synth exhaustive prune prune")
                 .find("error: unknown synth option"),
             std::string::npos);
   EXPECT_NE(exec(shell, "synth exhaustive prune no-prune")
