@@ -9,7 +9,7 @@
 //    `requests` pipelined requests at a multi-executor server; reports
 //    requests/second and p50/p99 latency (informational), plus the
 //    completed count as a deterministic no-drop witness: every accepted
-//    job gets exactly one reply.
+//    job and every idempotent replay gets exactly one reply.
 //  - Backpressure: one executor, queue of one, a burst of slow jobs.
 //    The overflow must be shed with kOverloaded + retry-after, and
 //    honoring the hint must eventually land every request.
@@ -217,11 +217,17 @@ bool throughput(int clients, int requests, bench::BenchJson& json) {
               clients, requests, static_cast<unsigned long long>(completed),
               elapsed, rps, p50, p99);
 
+  // No-drop witness, in the daemon's accounting (server.h): a request
+  // answered from the idempotent-replay table counts as completed but
+  // never as accepted, so accepted + replays must equal completed, and
+  // every completion must have reached a client.
   const server::ServerStats stats = daemon.stats();
-  if (stats.accepted != stats.completed || completed != stats.completed) {
+  if (stats.accepted + stats.idempotentReplays != stats.completed ||
+      completed != stats.completed) {
     std::fprintf(stderr, "bench_load: drop detected (accepted=%llu "
-                         "completed=%llu replies=%llu)\n",
+                         "replays=%llu completed=%llu replies=%llu)\n",
                  static_cast<unsigned long long>(stats.accepted),
+                 static_cast<unsigned long long>(stats.idempotentReplays),
                  static_cast<unsigned long long>(stats.completed),
                  static_cast<unsigned long long>(completed));
     return false;
@@ -252,7 +258,12 @@ bool throughput(int clients, int requests, bench::BenchJson& json) {
 /// Phase 3: a burst against a one-deep queue; the shed requests carry a
 /// retry-after hint that, honored, lands every job.
 bool backpressure(bench::BenchJson& json) {
-  server::Server daemon(serverOptions(/*executors=*/1, /*queue=*/1));
+  // Every job is the same request, so the idempotent-replay table would
+  // answer all but the first without queueing anything; switch it off
+  // so each job reaches the queue.
+  server::ServerOptions options = serverOptions(/*executors=*/1, /*queue=*/1);
+  options.idempotencyBytes = 0;
+  server::Server daemon(options);
   std::string error;
   if (!daemon.start(&error)) {
     std::fprintf(stderr, "bench_load: %s\n", error.c_str());

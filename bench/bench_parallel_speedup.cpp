@@ -74,12 +74,18 @@ Network hubAndSpoke(int chainLen) {
   const auto& cat = blocks::defaultCatalog();
   Network net("hub_spoke_" + std::to_string(chainLen));
   const BlockId hub = net.addBlock("hub", cat.or3());
+  // Names are built by appending: GCC 12 at -O3 raises false -Wrestrict
+  // warnings on inlined `"literal" + std::string` chains.
+  const auto named = [](const char* prefix, int n) {
+    std::string name = prefix;
+    name += std::to_string(n);
+    return name;
+  };
   int id = 0;
   for (int c = 0; c < 3; ++c) {
-    BlockId prev = net.addBlock("s" + std::to_string(c), cat.button());
+    BlockId prev = net.addBlock(named("s", c), cat.button());
     for (int i = 0; i < chainLen; ++i) {
-      const BlockId b = net.addBlock("c" + std::to_string(id++),
-                                     cat.inverter());
+      const BlockId b = net.addBlock(named("c", id++), cat.inverter());
       net.connect(prev, 0, b, 0);
       prev = b;
     }
@@ -88,13 +94,12 @@ Network hubAndSpoke(int chainLen) {
   for (int c = 0; c < 2; ++c) {
     BlockId prev = hub;
     for (int i = 0; i < chainLen; ++i) {
-      const BlockId b = net.addBlock("d" + std::to_string(id++),
-                                     cat.inverter());
+      const BlockId b = net.addBlock(named("d", id++), cat.inverter());
       net.connect(prev, 0, b, 0);
       prev = b;
     }
     net.connect(prev, 0,
-                net.addBlock("led" + std::to_string(c), cat.led()), 0);
+                net.addBlock(named("led", c), cat.led()), 0);
   }
   return net;
 }

@@ -34,8 +34,9 @@
 // What is cacheable: completed runs of the built-in deterministic
 // strategies (paredown, aggregation, exhaustive when optimal, greedy,
 // fm, and lns with a fixed round count).  Timed-out runs, lns driven by
-// the wall clock, and unknown custom strategies are never stored -- a
-// cache must only ever return what a fresh run would have.
+// the wall clock, and ladder runs (their depth depends on the wall
+// clock) are never stored -- a cache must only ever return what a fresh
+// run would have.
 #ifndef EBLOCKS_CACHE_SOLUTION_STORE_H_
 #define EBLOCKS_CACHE_SOLUTION_STORE_H_
 

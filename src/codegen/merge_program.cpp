@@ -1,6 +1,9 @@
 #include "codegen/merge_program.h"
 
+#include <cstdint>
 #include <map>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "behavior/merge.h"
@@ -11,9 +14,24 @@ namespace eblocks::codegen {
 
 namespace {
 
-std::string wireName(Endpoint e) {
-  return "w" + std::to_string(e.block) + "_" + std::to_string(e.port);
+// `prefix` followed by `n` in decimal.  Names are built by appending:
+// GCC 12 at -O3 raises false -Wrestrict warnings on inlined
+// `"literal" + std::string` chains.
+std::string numbered(std::string_view prefix, std::uint64_t n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
 }
+
+// "<prefix><block>_<port>".
+std::string endpointName(std::string_view prefix, Endpoint e) {
+  std::string name = numbered(prefix, e.block);
+  name += '_';
+  name += std::to_string(e.port);
+  return name;
+}
+
+std::string wireName(Endpoint e) { return endpointName("w", e); }
 
 // Snapshot copy of a wire, refreshed after its producer runs on non-tick
 // passes only.  Members read snapshots so that, during a tick pass, every
@@ -22,9 +40,7 @@ std::string wireName(Endpoint e) {
 // effects can propagate as packets.  The cascade pass (tick == 0) that
 // follows a tick refreshes the snapshots inline, so packet-style
 // propagation is single-pass exact.
-std::string snapName(Endpoint e) {
-  return "ws" + std::to_string(e.block) + "_" + std::to_string(e.port);
-}
+std::string snapName(Endpoint e) { return endpointName("ws", e); }
 
 }  // namespace
 
@@ -127,7 +143,7 @@ MergedProgram mergePartitionProgram(const Network& net,
           &t.inputName(p),
           partition.test(driver.from.block)
               ? snapName(driver.from)
-              : "in" + std::to_string(inPortOfConnection.at(driver)));
+              : numbered("in", inPortOfConnection.at(driver)));
     }
     // Output ports -> wires.
     for (int p = 0; p < t.outputCount(); ++p)
@@ -135,7 +151,7 @@ MergedProgram mergePartitionProgram(const Network& net,
                          wireName(Endpoint{b, static_cast<std::uint16_t>(p)}));
     // Everything else (state variables) gets a per-member prefix; `tick`
     // is shared by design (all sequential members tick together).
-    const std::string prefix = "b" + std::to_string(b) + "_";
+    const std::string prefix = numbered("b", b) + '_';
     behavior::Program prog = behavior::renamed(
         *t.program(), [&](const std::string& n) -> std::string {
           for (auto it = ports.rbegin(); it != ports.rend(); ++it)
@@ -163,7 +179,7 @@ MergedProgram mergePartitionProgram(const Network& net,
     behavior::Program exports;
     for (int k = 0; k < merged.outputCount(); ++k)
       exports.statements.push_back(behavior::makeAssign(
-          "out" + std::to_string(k),
+          numbered("out", k),
           behavior::makeVarRef(
               wireName(merged.outputSources[static_cast<std::size_t>(k)]))));
     parts.push_back(std::move(exports));

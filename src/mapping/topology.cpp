@@ -41,8 +41,13 @@ std::optional<PhysId> Topology::findNode(const std::string& nodeName) const {
 
 Topology Topology::line(int n, int inputs, int outputs) {
   Topology t("line" + std::to_string(n));
-  for (int i = 0; i < n; ++i)
-    t.addNode("n" + std::to_string(i), inputs, outputs);
+  // Names are appended, not `"n" + std::to_string(i)`: GCC 12 at -O3
+  // raises false -Wrestrict warnings on inlined `"literal" + std::string`.
+  for (int i = 0; i < n; ++i) {
+    std::string name = "n";
+    name += std::to_string(i);
+    t.addNode(std::move(name), inputs, outputs);
+  }
   for (int i = 0; i + 1 < n; ++i)
     t.addDuplexLink(static_cast<PhysId>(i), static_cast<PhysId>(i + 1));
   return t;
@@ -58,9 +63,13 @@ Topology Topology::ring(int n, int inputs, int outputs) {
 Topology Topology::grid(int rows, int cols, int inputs, int outputs) {
   Topology t("grid" + std::to_string(rows) + "x" + std::to_string(cols));
   for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c)
-      t.addNode("n" + std::to_string(r) + "_" + std::to_string(c), inputs,
-                outputs);
+    for (int c = 0; c < cols; ++c) {
+      std::string name = "n";
+      name += std::to_string(r);
+      name += '_';
+      name += std::to_string(c);
+      t.addNode(std::move(name), inputs, outputs);
+    }
   const auto id = [cols](int r, int c) {
     return static_cast<PhysId>(r * cols + c);
   };

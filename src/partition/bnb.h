@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "partition/exhaustive.h"
 #include "partition/port_counter.h"
 #include "partition/validity.h"
 #include "partition/work_steal.h"
@@ -91,22 +92,21 @@ struct SearchSpace {
   BitSet baseFrozen;  // empty when the admissible layer is off
 };
 
-/// The shared stop control: wall-clock deadline (timeLimitSeconds <= 0:
-/// none), cooperative cancel (caller-owned, only read here), live
-/// progress (caller-owned and zeroed; workers add 4096 per granule) and
-/// the node budget (0: none), all polled at one 4096-node cadence per
-/// worker.
+/// The shared stop control, built from the caller's SearchLimits:
+/// wall-clock deadline (timeLimitSeconds <= 0: none), cooperative cancel
+/// (caller-owned, only read here), live progress (caller-owned and
+/// zeroed; workers add 4096 per granule) and the node budget (0: none),
+/// all polled at one 4096-node cadence per worker.
 struct StopControl {
-  StopControl(double timeLimitSeconds, const std::atomic<bool>* cancelFlag,
-              std::atomic<std::uint64_t>* progress, std::uint64_t budget)
-      : deadline(timeLimitSeconds > 0
+  explicit StopControl(const SearchLimits& limits, std::uint64_t budget = 0)
+      : deadline(limits.timeLimitSeconds > 0
                      ? Clock::now() +
                            std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double>(
-                                   timeLimitSeconds))
+                                   limits.timeLimitSeconds))
                      : Clock::time_point::max()),
-        cancel(cancelFlag),
-        progressNodes(progress),
+        cancel(limits.cancel),
+        progressNodes(limits.progressNodes),
         nodeBudget(budget) {}
 
   const Clock::time_point deadline;
@@ -367,16 +367,17 @@ class Worker {
   bool aborted_ = false;
 };
 
-/// Runs the search on `threads` workers and returns them, joined, for
-/// the caller's reduction over their policies.  The pool is seeded with
-/// the whole tree as one task owning the full ordinal range; workers
-/// split subtrees on demand when peers are starved and steal half a
-/// victim's deque when their own is dry.  `makePolicy()` builds each
-/// worker's policy.
+/// Runs the search on `limits.threads` workers (resolveSearchThreads)
+/// and returns them, joined, for the caller's reduction over their
+/// policies.  The pool is seeded with the whole tree as one task owning
+/// the full ordinal range; workers split subtrees on demand when peers
+/// are starved and steal half a victim's deque when their own is dry.
+/// `makePolicy()` builds each worker's policy.
 template <typename Policy, typename MakePolicy>
-auto runSearch(const SearchSpace& space, StopControl& control, int threads,
-               MakePolicy&& makePolicy) {
-  const int workerCount = space.inner.size() >= 2 ? threads : 1;
+auto runSearch(const SearchSpace& space, StopControl& control,
+               const SearchLimits& limits, MakePolicy&& makePolicy) {
+  const int workerCount =
+      space.inner.size() >= 2 ? resolveSearchThreads(limits.threads) : 1;
   WorkStealingPool<Task> pool(workerCount);
   pool.push(0, Task{});
   std::vector<std::unique_ptr<Worker<Policy>>> workers(

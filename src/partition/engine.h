@@ -1,34 +1,27 @@
-// The partition engine: one registration point for every partitioning
-// strategy.
+// The partition engine: every partitioning strategy, selectable by name.
 //
-// The four partitioners grew up behind two incompatible call conventions
-// (free functions over PartitionProblem for the plain problem, free
-// functions over Network+ProgCostModel for the multi-type one), so adding
-// an algorithm meant touching the synthesizer's enum, the shell's parser,
-// and every bench by hand.  The engine replaces that with a name-keyed
-// registry of strategy objects: `synthesize()` and the shell select by
-// name, new algorithms register once and are immediately reachable
-// everywhere, and engine-level options (time limit, threads, seeding)
-// apply uniformly.
+// The paper's tool picks between partitioners by name; so do
+// `synthesize()`, the shell and eblocksd.  The engine is that lookup: two
+// fixed tables of {name, description, function}, one for the plain
+// problem and one for the multi-type one, and the engine-level options
+// (time limit, threads, seeding) every strategy receives.
 //
-// Registered built-ins -- plain: paredown, aggregation, exhaustive,
-// greedy, fm, lns, ladder; multi-type: paredown, exhaustive, fm.  The
-// heuristic chain greedy -> fm -> lns is anytime (each stage refines the
-// last, never worse); `initialIncumbent` feeds any of their solutions
-// back into the exact searches as a warm start; `ladder` climbs the
-// whole chain into the exact B&B under one deadline, tagging how far it
-// got (ladder.h).
+// Built-ins -- plain: aggregation, exhaustive, fm, greedy, ladder, lns,
+// paredown; multi-type: exhaustive, fm, paredown.  The heuristic chain
+// greedy -> fm -> lns is anytime (each stage refines the last, never
+// worse); `initialIncumbent` feeds any of their solutions back into the
+// exact searches as a warm start; `ladder` climbs the whole chain into
+// the exact B&B under one deadline, tagging how far it got (ladder.h).
 #ifndef EBLOCKS_PARTITION_ENGINE_H_
 #define EBLOCKS_PARTITION_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
+#include <span>
 #include <string_view>
-#include <vector>
 
+#include "partition/exhaustive.h"
+#include "partition/lns.h"
 #include "partition/multitype.h"
 #include "partition/problem.h"
 #include "partition/result.h"
@@ -38,24 +31,29 @@ namespace eblocks::partition {
 /// Engine-level knobs forwarded to whichever strategy runs.  Strategies
 /// ignore knobs that do not apply to them (the heuristics have no time
 /// limit or thread pool, for example).
-struct EngineOptions {
-  /// Wall-clock budget for anytime strategies (exhaustive search).
-  double timeLimitSeconds = 60.0;
-  /// Worker threads for parallel strategies.  0 = one per hardware
-  /// thread, 1 = serial.  Completed searches return identical results at
-  /// every thread count; only timed-out runs are scheduling-dependent.
-  int threads = 0;
+///
+/// The SearchLimits (exhaustive.h) reach the exact searches unchanged,
+/// except that the engine's wall-clock budget defaults to 60 s:
+///   - timeLimitSeconds: budget of the anytime strategies (plain and
+///     multi-type `exhaustive`, `lns`, the `ladder`'s deadline);
+///   - threads, pruningBound: the exact searches' (and the ladder's
+///     exact rung's);
+///   - cancel, progressNodes: honoured by every anytime strategy; when
+///     set, they stop at their next periodic check and return the best
+///     solution so far with run.timedOut = true.  The fast constructive
+///     strategies (paredown, aggregation, greedy, fm) finish in
+///     milliseconds and ignore them.  The synthesis daemon (src/server)
+///     flips `cancel` when a client cancels or disconnects and reads
+///     `progressNodes` for its progress ticks.
+struct EngineOptions : SearchLimits {
+  EngineOptions() : SearchLimits{.timeLimitSeconds = 60.0} {}
+
   /// Require convex partitions (classical DAG covering; see validity.h).
   bool requireConvex = false;
   /// Exhaustive strategies seed their branch-and-bound with the PareDown
   /// solution by default -- a pure accelerator that never changes the
   /// optimum.  Disable to measure the unseeded search.
   bool seedFromPareDown = true;
-  /// Admissible lower-bound pruning for the exhaustive strategies
-  /// (irreducible-I/O floors; see exhaustive.h).  Like the seed, a pure
-  /// accelerator: results are bit-identical on or off.  Disable to
-  /// measure the unpruned search (bench_exhaustive_blowup ablates it).
-  bool pruningBound = true;
   /// Warm start for the exhaustive strategies: a known-valid solution
   /// (commonly `fm`'s) that seeds the shared atomic incumbent.  A pure
   /// pruning accelerator like seedFromPareDown -- the optimum returned
@@ -73,77 +71,37 @@ struct EngineOptions {
   std::uint64_t lnsRepairNodes = 200000;
   /// Seed for randomized strategies (`lns`'s destroy step).
   std::uint32_t rngSeed = 1;
-  /// Cooperative cancellation, riding the searches' timeout plumbing
-  /// (ExhaustiveOptions::cancel / LnsOptions::cancel): when non-null and
-  /// set, the anytime strategies (plain and multi-type `exhaustive`,
-  /// `lns`) stop at their next
-  /// periodic check and return the best solution so far with
-  /// run.timedOut = true.  The fast constructive strategies (paredown,
-  /// aggregation, greedy, fm) finish in milliseconds and ignore it.  The
-  /// synthesis daemon (src/server) flips this when a client cancels or
-  /// disconnects.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Live search-effort telemetry (ExhaustiveOptions::progressNodes):
-  /// the anytime strategies add explored nodes in 4096-node granules;
-  /// the daemon's progress ticks read it.
-  std::atomic<std::uint64_t>* progressNodes = nullptr;
 };
 
-/// A partitioning strategy for the plain (single block type) problem.
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-  /// Registry key; lowercase, stable across releases.
-  virtual std::string name() const = 0;
+/// A strategy for the plain (single block type) problem.
+struct Strategy {
+  /// Lookup key; lowercase, stable across releases.
+  std::string_view name;
   /// One-line human description (the shell's `algorithms` listing).
-  virtual std::string description() const = 0;
-  virtual PartitionRun run(const PartitionProblem& problem,
-                           const EngineOptions& options) const = 0;
+  std::string_view description;
+  PartitionRun (*run)(const PartitionProblem& problem,
+                      const EngineOptions& options);
 };
 
-/// A partitioning strategy for the multi-type, cost-aware problem.
-class TypedPartitioner {
- public:
-  virtual ~TypedPartitioner() = default;
-  virtual std::string name() const = 0;
-  virtual std::string description() const = 0;
-  virtual TypedPartitionRun run(const Network& net,
-                                const ProgCostModel& model,
-                                const EngineOptions& options) const = 0;
+/// A strategy for the multi-type, cost-aware problem.
+struct TypedStrategy {
+  std::string_view name;
+  std::string_view description;
+  TypedPartitionRun (*run)(const Network& net, const ProgCostModel& model,
+                           const EngineOptions& options);
 };
 
-/// Name-keyed registry of strategies.  The process-wide instance() comes
-/// pre-loaded with the built-ins (paredown, exhaustive, aggregation, and
-/// the multi-type pair); add() registers custom strategies at runtime.
-/// Thread-safe.
-class PartitionerRegistry {
- public:
-  static PartitionerRegistry& instance();
+/// The built-in strategies, sorted by name.  A name may appear in both
+/// tables (the paredown/exhaustive/fm pairs do).
+std::span<const Strategy> strategies();
+std::span<const TypedStrategy> typedStrategies();
 
-  /// Registers a strategy; replaces any previous holder of the name.
-  void add(std::unique_ptr<Partitioner> partitioner);
-  void add(std::unique_ptr<TypedPartitioner> partitioner);
+/// Lookup by name; nullptr when unknown.
+const Strategy* findStrategy(std::string_view name);
+const TypedStrategy* findTypedStrategy(std::string_view name);
 
-  /// Lookup by name; nullptr when unknown.
-  const Partitioner* find(std::string_view name) const;
-  const TypedPartitioner* findTyped(std::string_view name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-  std::vector<std::string> typedNames() const;
-
-  /// Description of a registered strategy ("" when unknown).
-  std::string describe(std::string_view name) const;
-
- private:
-  PartitionerRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
-
-/// Runs the named strategy from the process registry.  Throws
-/// std::invalid_argument (listing the registered names) when unknown.
+/// Runs the named strategy.  Throws std::invalid_argument (listing the
+/// known names) when unknown.
 PartitionRun runPartitioner(std::string_view name,
                             const PartitionProblem& problem,
                             const EngineOptions& options = {});
@@ -153,6 +111,23 @@ TypedPartitionRun runTypedPartitioner(std::string_view name,
                                       const Network& net,
                                       const ProgCostModel& model,
                                       const EngineOptions& options = {});
+
+/// The exact search that `options` asks for, under `timeLimitSeconds`
+/// (the `exhaustive` strategy passes options.timeLimitSeconds, the
+/// ladder what its deadline has left).  Warm-started with the cheapest
+/// of `incumbent`, PareDown's solution (when options.seedFromPareDown)
+/// and options.initialIncumbent, in that order; on equal cost the
+/// earlier one is kept.  Seeding never changes a completed search's
+/// answer (exhaustive.h).
+ExhaustiveOptions exhaustiveOptionsFor(
+    const PartitionProblem& problem, const EngineOptions& options,
+    double timeLimitSeconds,
+    std::optional<Partitioning> incumbent = std::nullopt);
+
+/// The large-neighborhood search that `options` asks for, under
+/// `timeLimitSeconds` (see exhaustiveOptionsFor).
+LnsOptions lnsOptionsFor(const EngineOptions& options,
+                         double timeLimitSeconds);
 
 }  // namespace eblocks::partition
 

@@ -139,8 +139,6 @@ class CountPolicy {
           !isConvex(ctx_.problem.network(), bin.members()))
         return;
     }
-    if (ctx_.options.requireAcyclicQuotient && !quotientAcyclic(bins))
-      return;
     // Tie handling: within a task only strict cost improvements are
     // recorded, so the first optimum found in DFS order is kept; across
     // tasks the packed (cost, ordinal) key decides.
@@ -164,41 +162,6 @@ class CountPolicy {
     if (costSoFar >= localBest_) return true;
     return packKey(costSoFar, lo) >=
            liveKey_.load(std::memory_order_relaxed);
-  }
-
-  /// Checks that contracting every bin leaves the block graph acyclic.
-  bool quotientAcyclic(Bins bins) const {
-    const Network& net = ctx_.problem.network();
-    // Map each block to its group: bins get ids [n, n+k), others self.
-    const std::size_t n = net.blockCount();
-    std::vector<std::uint32_t> group(n);
-    for (std::size_t i = 0; i < n; ++i)
-      group[i] = static_cast<std::uint32_t>(i);
-    for (std::size_t k = 0; k < bins.size(); ++k)
-      bins[k].members().forEach([&](std::size_t b) {
-        group[b] = static_cast<std::uint32_t>(n + k);
-      });
-    const std::size_t total = n + bins.size();
-    std::vector<std::vector<std::uint32_t>> adj(total);
-    std::vector<int> indeg(total, 0);
-    for (const Connection& c : net.connections()) {
-      const std::uint32_t u = group[c.from.block], v = group[c.to.block];
-      if (u == v) continue;
-      adj[u].push_back(v);
-      ++indeg[v];
-    }
-    std::vector<std::uint32_t> stack;
-    for (std::size_t v = 0; v < total; ++v)
-      if (indeg[v] == 0) stack.push_back(static_cast<std::uint32_t>(v));
-    std::size_t seen = 0;
-    while (!stack.empty()) {
-      const std::uint32_t u = stack.back();
-      stack.pop_back();
-      ++seen;
-      for (std::uint32_t v : adj[u])
-        if (--indeg[v] == 0) stack.push_back(v);
-    }
-    return seen == total;
   }
 
   const CountContext& ctx_;
@@ -257,11 +220,9 @@ PartitionRun exhaustiveSearch(const PartitionProblem& problem,
   std::atomic<std::uint64_t> liveKey{bestKey};
   const detail::SearchSpace space(problem.graph(), problem.spec().mode,
                                   options.pruningBound);
-  detail::StopControl control(options.timeLimitSeconds, options.cancel,
-                              options.progressNodes, options.nodeBudget);
+  detail::StopControl control(options, options.nodeBudget);
   auto workers = detail::runSearch<CountPolicy>(
-      space, control, resolveSearchThreads(options.threads),
-      [&] { return CountPolicy(ctx, liveKey); });
+      space, control, options, [&] { return CountPolicy(ctx, liveKey); });
 
   // Deterministic reduction: every worker accumulated its best solution
   // as a packed (cost, DFS-ordinal) key; the smallest key over all

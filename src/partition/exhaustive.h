@@ -40,6 +40,7 @@
 #define EBLOCKS_PARTITION_EXHAUSTIVE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <optional>
 
 #include "partition/problem.h"
@@ -47,29 +48,13 @@
 
 namespace eblocks::partition {
 
-struct ExhaustiveOptions {
+/// The stop and effort knobs both exact searches share (this one and
+/// multiTypeExhaustive in multitype.h), and that EngineOptions forwards
+/// to them unchanged.
+struct SearchLimits {
   /// Wall-clock budget; exceeded -> run.timedOut = true and the best
   /// solution found so far is returned.  <= 0 disables the limit.
   double timeLimitSeconds = 0.0;
-  /// Require every partition to be convex (the classical DAG-covering
-  /// constraint).  Off by default: the packet protocol keeps non-convex
-  /// replacements behaviorally equivalent (see validity.h), and PareDown
-  /// itself can produce non-convex partitions in later rounds.
-  bool requireConvex = false;
-  /// Additionally require the replaced network to stay acyclic at the
-  /// block level.  The packet protocol tolerates benign block-level
-  /// cycles, so this defaults off; see the ablation bench.
-  bool requireAcyclicQuotient = false;
-  /// Seed the branch-and-bound with a known solution (commonly PareDown's).
-  /// Purely an accelerator: never changes the optimum found.
-  std::optional<Partitioning> seed;
-  /// Abort after (approximately) this many explored nodes, returning the
-  /// best solution so far with run.timedOut = true -- the LNS repair
-  /// oracle's budget (lns.h).  Checked at the same 4096-node cadence as
-  /// the wall clock, so the effective budget rounds up to that granule
-  /// and a serial run aborts at a machine-independent node.  0 = no
-  /// budget.
-  std::uint64_t nodeBudget = 0;
   /// Worker threads for the branch-and-bound.  0 = one per hardware
   /// thread (std::thread::hardware_concurrency), 1 = the original serial
   /// search.  Every thread count returns the identical result unless the
@@ -94,6 +79,24 @@ struct ExhaustiveOptions {
   /// can read approximate progress without touching the search.  The
   /// counter is add-only here; the caller zeroes it.
   std::atomic<std::uint64_t>* progressNodes = nullptr;
+};
+
+struct ExhaustiveOptions : SearchLimits {
+  /// Require every partition to be convex (the classical DAG-covering
+  /// constraint).  Off by default: the packet protocol keeps non-convex
+  /// replacements behaviorally equivalent (see validity.h), and PareDown
+  /// itself can produce non-convex partitions in later rounds.
+  bool requireConvex = false;
+  /// Seed the branch-and-bound with a known solution (commonly PareDown's).
+  /// Purely an accelerator: never changes the optimum found.
+  std::optional<Partitioning> seed;
+  /// Abort after (approximately) this many explored nodes, returning the
+  /// best solution so far with run.timedOut = true -- the LNS repair
+  /// oracle's budget (lns.h).  Checked at the same 4096-node cadence as
+  /// the wall clock, so the effective budget rounds up to that granule
+  /// and a serial run aborts at a machine-independent node.  0 = no
+  /// budget.
+  std::uint64_t nodeBudget = 0;
 };
 
 /// Runs the exhaustive search.  `run.optimal` is true iff the search

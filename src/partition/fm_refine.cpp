@@ -122,15 +122,10 @@ class Refiner {
   long long totalCost() const { return total_; }
   std::uint64_t probes() const { return probes_; }
 
-  /// Runs passes until one fails to improve (or maxPasses).  Returns the
-  /// number of passes run.
-  int refine(int maxPasses) {
-    int passes = 0;
-    while (maxPasses == 0 || passes < maxPasses) {
-      ++passes;
-      if (!pass()) break;
+  /// Runs passes until one fails to improve.
+  void refine() {
+    while (pass()) {
     }
-    return passes;
   }
 
   /// The current bins of >= 2 members, sorted by lowest member id.
@@ -357,7 +352,7 @@ class Refiner {
 }  // namespace
 
 PartitionRun fmRefine(const PartitionProblem& problem,
-                      const Partitioning& initial, const FmOptions& options) {
+                      const Partitioning& initial) {
   const auto start = std::chrono::steady_clock::now();
   const ProgBlockSpec& spec = problem.spec();
   // W > any possible whole-solution port-sum, so #bins dominates.
@@ -368,7 +363,7 @@ PartitionRun fmRefine(const PartitionProblem& problem,
   const PlainCost cost(spec, w);
   Refiner refiner(problem.graph(), spec.mode, cost);
   refiner.load(initial.partitions);
-  refiner.refine(options.maxPasses);
+  refiner.refine();
 
   PartitionRun run;
   run.algorithm = "fm";
@@ -382,14 +377,13 @@ PartitionRun fmRefine(const PartitionProblem& problem,
 
 TypedPartitionRun multiTypeFmRefine(const Network& net,
                                     const ProgCostModel& model,
-                                    const TypedPartitioning& initial,
-                                    const FmOptions& options) {
+                                    const TypedPartitioning& initial) {
   const auto start = std::chrono::steady_clock::now();
   const CompactGraph graph(net);
   const TypedCost cost(model);
   Refiner refiner(graph, model.mode, cost);
   refiner.load(initial.partitions);
-  refiner.refine(options.maxPasses);
+  refiner.refine();
 
   TypedPartitionRun run;
   run.algorithm = "multitype-fm";

@@ -12,7 +12,7 @@
 //
 // The result is always a valid partitioning (verifyPartitioning-clean) in
 // both counting modes; quality is deliberately traded for speed -- the FM
-// pass refines it, and `greedy` is registered mostly as the family's
+// pass refines it, and `greedy` is a strategy mostly as the family's
 // seed stage and as a baseline for the scaling-curve bench.
 #ifndef EBLOCKS_PARTITION_GREEDY_SEED_H_
 #define EBLOCKS_PARTITION_GREEDY_SEED_H_

@@ -4,11 +4,8 @@
 #include <limits>
 #include <utility>
 
-#include "partition/exhaustive.h"
 #include "partition/fm_refine.h"
 #include "partition/greedy_seed.h"
-#include "partition/lns.h"
-#include "partition/paredown.h"
 
 namespace eblocks::partition {
 
@@ -25,10 +22,6 @@ bool cancelled(const EngineOptions& options) {
          options.cancel->load(std::memory_order_relaxed);
 }
 
-int costOf(const Partitioning& p, int innerCount) {
-  return p.totalAfter(innerCount);
-}
-
 }  // namespace
 
 PartitionRun degradationLadder(const PartitionProblem& problem,
@@ -40,7 +33,6 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
     return unlimited ? std::numeric_limits<double>::infinity()
                      : limit - elapsedSince(start);
   };
-  const int inner = problem.innerCount();
 
   // Rung 1: greedy.  Unconditional -- the feasibility floor.
   PartitionRun best = greedySeed(problem);
@@ -62,15 +54,9 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
   // exact rung below; irrelevant when unlimited -- lns then runs to its
   // own stall/round limits, which is still finite).
   if (!cancelled(options) && remaining() > 0.0) {
-    LnsOptions lns;
-    lns.timeLimitSeconds = unlimited ? 0.0 : remaining() * 0.5;
-    lns.pocketSize = options.lnsPocket;
-    lns.maxRounds = options.lnsRounds;
-    lns.repairNodeBudget = options.lnsRepairNodes;
-    lns.rngSeed = options.rngSeed;
-    lns.cancel = options.cancel;
-    lns.progressNodes = options.progressNodes;
-    PartitionRun searched = lnsSearch(problem, best.result, lns);
+    PartitionRun searched = lnsSearch(
+        problem, best.result,
+        lnsOptionsFor(options, unlimited ? 0.0 : remaining() * 0.5));
     explored += searched.explored;
     pruned += searched.pruned;
     // lnsSearch never returns worse than its seed.
@@ -80,26 +66,14 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
   }
 
   // Rung 4: the exact branch-and-bound, warm-started with the cheapest
-  // known incumbent, on every remaining second.
+  // of this ladder's best, PareDown's and the caller's incumbent, on
+  // every remaining second.
   bool optimal = false;
   if (!cancelled(options) && remaining() > 0.0) {
-    ExhaustiveOptions ex;
-    ex.timeLimitSeconds = unlimited ? 0.0 : remaining();
-    ex.requireConvex = options.requireConvex;
-    ex.threads = options.threads;
-    ex.pruningBound = options.pruningBound;
-    ex.cancel = options.cancel;
-    ex.progressNodes = options.progressNodes;
-    ex.seed = best.result;
-    if (options.seedFromPareDown) {
-      const PartitionRun pd = pareDown(problem);
-      if (costOf(pd.result, inner) < costOf(*ex.seed, inner))
-        ex.seed = pd.result;
-    }
-    if (options.initialIncumbent &&
-        costOf(*options.initialIncumbent, inner) < costOf(*ex.seed, inner))
-      ex.seed = options.initialIncumbent;
-    PartitionRun exact = exhaustiveSearch(problem, ex);
+    PartitionRun exact = exhaustiveSearch(
+        problem, exhaustiveOptionsFor(problem, options,
+                                      unlimited ? 0.0 : remaining(),
+                                      best.result));
     explored += exact.explored;
     pruned += exact.pruned;
     // The search's incumbent starts at the seed, so its answer is never
@@ -108,7 +82,8 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
     if (exact.optimal) {
       optimal = true;
       tier.clear();
-    } else if (costOf(exact.result, inner) < costOf(best.result, inner)) {
+    } else if (exact.result.totalAfter(problem.innerCount()) <
+               best.result.totalAfter(problem.innerCount())) {
       tier = "exact-anytime";
     }
     best.workerExplored = std::move(exact.workerExplored);

@@ -64,14 +64,12 @@ struct LnsOptions {
   std::uint64_t repairNodeBudget = 200000;
   /// Seed of the destroy RNG.
   std::uint32_t rngSeed = 1;
-  /// Cooperative cancellation (ExhaustiveOptions::cancel): checked at
-  /// every round boundary and forwarded into each repair search, so a
-  /// cancelled run stops within one repair granule and returns the best
-  /// solution so far with run.timedOut = true.
+  /// Cooperative cancellation and live telemetry (SearchLimits in
+  /// exhaustive.h): forwarded into each repair search, and the cancel
+  /// flag is also checked at every round boundary, so a cancelled run
+  /// stops within one repair granule and returns the best solution so
+  /// far with run.timedOut = true.
   const std::atomic<bool>* cancel = nullptr;
-  /// Live telemetry (ExhaustiveOptions::progressNodes): forwarded into
-  /// the repair searches, which add their explored nodes in 4096-node
-  /// granules.
   std::atomic<std::uint64_t>* progressNodes = nullptr;
 };
 

@@ -257,11 +257,9 @@ TypedPartitionRun multiTypeExhaustive(
 
   std::atomic<double> liveCost{bestCost};
   const detail::SearchSpace space(ctx.graph, model.mode, options.pruningBound);
-  detail::StopControl control(options.timeLimitSeconds, options.cancel,
-                              options.progressNodes, 0);
+  detail::StopControl control(options);
   auto workers = detail::runSearch<OptionPolicy>(
-      space, control, resolveSearchThreads(options.threads),
-      [&] { return OptionPolicy(ctx, liveCost); });
+      space, control, options, [&] { return OptionPolicy(ctx, liveCost); });
 
   // Deterministic reduction: replay the serial acceptance rule (strict
   // beyond-slack improvement only) over the worker bests in ascending

@@ -15,11 +15,11 @@
 #ifndef EBLOCKS_PARTITION_MULTITYPE_H_
 #define EBLOCKS_PARTITION_MULTITYPE_H_
 
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "partition/exhaustive.h"
 #include "partition/problem.h"
 #include "partition/result.h"
 
@@ -88,25 +88,14 @@ std::optional<int> cheapestFittingOption(const IoCount& io,
 TypedPartitionRun multiTypePareDown(const Network& net,
                                     const ProgCostModel& model);
 
-struct MultiTypeExhaustiveOptions {
-  double timeLimitSeconds = 0.0;
+/// The search limits of exhaustive.h; there `pruningBound` is
+/// generalized to the cost model: each bin's future option cost is
+/// floored by the cheapest option fitting its *irreducible* crossing I/O
+/// (a bin fitting no option kills the subtree), and remaining blocks no
+/// option can ever host each add preDefinedBlockCost.  Bit-identical
+/// results on or off; see docs/partitioning.md.
+struct MultiTypeExhaustiveOptions : SearchLimits {
   std::optional<TypedPartitioning> seed;
-  /// Worker threads for the branch-and-bound.  0 = one per hardware
-  /// thread, 1 = the original serial search.  Every thread count returns
-  /// the identical result (deterministic DFS-order tie-break) unless the
-  /// time limit cuts the search short (see exhaustive.h).
-  int threads = 0;
-  /// Admissible lower-bound pruning, generalized to the cost model: each
-  /// bin's future option cost is floored by the cheapest option fitting
-  /// its *irreducible* crossing I/O (a bin fitting no option kills the
-  /// subtree), and remaining blocks no option can ever host each add
-  /// preDefinedBlockCost.  Bit-identical results on or off; see
-  /// exhaustive.h and docs/partitioning.md.
-  bool pruningBound = true;
-  /// Cooperative cancellation and live progress, exactly as
-  /// ExhaustiveOptions::cancel and ExhaustiveOptions::progressNodes.
-  const std::atomic<bool>* cancel = nullptr;
-  std::atomic<std::uint64_t>* progressNodes = nullptr;
 };
 
 /// Exhaustive branch-and-bound over assignments and option choices: the

@@ -79,9 +79,12 @@ Network randomNetwork(const GeneratorOptions& options) {
 
   std::vector<BlockId> sensors;
   std::vector<BlockId> compute;  // in creation (topological) order
+  // Names are appended, not `"s" + std::to_string(...)`: GCC 12 at -O3
+  // raises false -Wrestrict warnings on inlined `"literal" + std::string`.
   auto freshSensor = [&] {
-    const BlockId s = net.addBlock(
-        "s" + std::to_string(sensors.size()), pickSensorType(cat, rng));
+    std::string name = "s";
+    name += std::to_string(sensors.size());
+    const BlockId s = net.addBlock(std::move(name), pickSensorType(cat, rng));
     sensors.push_back(s);
     return s;
   };
@@ -105,7 +108,9 @@ Network randomNetwork(const GeneratorOptions& options) {
     BlockTypePtr type = arity == 1   ? pickOneInputType(cat, rng)
                         : arity == 2 ? pickTwoInputType(cat, rng)
                                      : pickThreeInputType(cat, rng);
-    const BlockId b = net.addBlock("c" + std::to_string(i), std::move(type));
+    std::string name = "c";
+    name += std::to_string(i);
+    const BlockId b = net.addBlock(std::move(name), std::move(type));
     for (int p = 0; p < net.block(b).type->inputCount(); ++p) {
       const bool useSensor = compute.empty() || uni(rng) < options.sensorInputProb;
       if (useSensor) {
@@ -137,8 +142,9 @@ Network randomNetwork(const GeneratorOptions& options) {
   for (BlockId b : compute) {
     const bool isSink = net.outdegree(b) == 0;
     if (isSink || uni(rng) < options.outputTapProb) {
-      const BlockId o = net.addBlock("o" + std::to_string(outCount++),
-                                     pickOutputType(cat, rng));
+      std::string name = "o";
+      name += std::to_string(outCount++);
+      const BlockId o = net.addBlock(std::move(name), pickOutputType(cat, rng));
       net.connect(b, 0, o, 0);
     }
   }

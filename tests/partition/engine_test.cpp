@@ -1,35 +1,44 @@
-// The strategy registry: every partitioner reachable by name, engine
-// options forwarded, custom strategies pluggable at runtime.
+// The strategy tables: every partitioner reachable by name, engine
+// options forwarded to every search.
 #include "partition/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "designs/library.h"
 #include "partition/exhaustive.h"
 #include "partition/paredown.h"
 #include "partition/verify.h"
 #include "randgen/generator.h"
-#include "synth/synthesizer.h"
 
 namespace eblocks::partition {
 namespace {
 
 TEST(Engine, BuiltInsAreRegistered) {
-  const auto& registry = PartitionerRegistry::instance();
-  EXPECT_EQ(registry.names(),
-            (std::vector<std::string>{"aggregation", "exhaustive", "fm",
-                                      "greedy", "ladder", "lns", "paredown"}));
-  EXPECT_EQ(registry.typedNames(),
-            (std::vector<std::string>{"exhaustive", "fm", "paredown"}));
-  for (const std::string& name : registry.names()) {
-    EXPECT_NE(registry.find(name), nullptr) << name;
-    EXPECT_FALSE(registry.describe(name).empty()) << name;
+  std::vector<std::string_view> names;
+  for (const Strategy& s : strategies()) {
+    names.push_back(s.name);
+    EXPECT_EQ(findStrategy(s.name), &s) << s.name;
+    EXPECT_FALSE(s.description.empty()) << s.name;
   }
-  EXPECT_EQ(registry.find("no-such-strategy"), nullptr);
-  EXPECT_EQ(registry.findTyped("aggregation"), nullptr);
+  EXPECT_EQ(names, (std::vector<std::string_view>{
+                       "aggregation", "exhaustive", "fm", "greedy", "ladder",
+                       "lns", "paredown"}));
+  std::vector<std::string_view> typedNames;
+  for (const TypedStrategy& s : typedStrategies()) {
+    typedNames.push_back(s.name);
+    EXPECT_EQ(findTypedStrategy(s.name), &s) << s.name;
+    EXPECT_FALSE(s.description.empty()) << s.name;
+  }
+  EXPECT_EQ(typedNames, (std::vector<std::string_view>{"exhaustive", "fm",
+                                                         "paredown"}));
+  EXPECT_EQ(findStrategy("no-such-strategy"), nullptr);
+  EXPECT_EQ(findTypedStrategy("aggregation"), nullptr);
 }
 
 TEST(Engine, RunPartitionerMatchesDirectCalls) {
@@ -120,22 +129,6 @@ TEST(Engine, TypedStrategiesRunTheCostModel) {
             heuristic.result.totalCost(8, model));
 }
 
-// A minimal custom strategy: never partitions anything.  Registering it
-// makes it reachable through synthesize() with zero further wiring.
-class NullPartitioner final : public Partitioner {
- public:
-  std::string name() const override { return "null"; }
-  std::string description() const override {
-    return "leaves every block unpartitioned (registry demo)";
-  }
-  PartitionRun run(const PartitionProblem&,
-                   const EngineOptions&) const override {
-    PartitionRun run;
-    run.algorithm = "null";
-    return run;
-  }
-};
-
 TEST(Engine, TypedExhaustiveHonoursCancelAndProgress) {
   // Cancelled before it starts: the typed search stops at its first
   // periodic check -- one 4096-node granule, plus the siblings visited
@@ -163,17 +156,86 @@ TEST(Engine, TypedExhaustiveHonoursCancelAndProgress) {
             multiTypePareDown(net, model).result.totalCost(n, model));
 }
 
-TEST(Engine, CustomStrategyReachableThroughSynthesize) {
-  PartitionerRegistry::instance().add(std::make_unique<NullPartitioner>());
-  ASSERT_NE(PartitionerRegistry::instance().find("null"), nullptr);
+// What one engine run reports about the knobs it was given.
+struct KnobOutcome {
+  bool timedOut = false;
+  bool verified = false;
+  std::uint64_t pruned = 0;
+  std::size_t workers = 0;  // workerExplored.size(): 0 for a serial run
+};
 
-  synth::SynthOptions options;
-  options.algorithm = "null";
-  const synth::SynthResult r =
-      synth::synthesize(designs::figure5(), options);
-  EXPECT_EQ(r.run.algorithm, "null");
-  EXPECT_EQ(r.programmableBlocks, 0);
-  EXPECT_EQ(r.innerAfter, 8);
+KnobOutcome runWithKnobs(std::string_view strategy, bool typed,
+                         const Network& net, const EngineOptions& options) {
+  if (typed) {
+    const ProgCostModel model = ProgCostModel::paperDefault();
+    const TypedPartitionRun run =
+        runTypedPartitioner(strategy, net, model, options);
+    return {run.timedOut,
+            verifyTypedPartitioning(net, model, run.result).empty(),
+            run.pruned, run.workerExplored.size()};
+  }
+  const PartitionProblem problem(net, ProgBlockSpec{});
+  const PartitionRun run = runPartitioner(strategy, problem, options);
+  return {run.timedOut, verifyPartitioning(problem, run.result).empty(),
+          run.pruned, run.workerExplored.size()};
+}
+
+TEST(Engine, EngineKnobsReachEverySearch) {
+  // The knobs EngineOptions shares with the searches must reach every
+  // search a strategy runs, whichever path builds its options: the
+  // plain and typed `exhaustive`, `lns` (cancel and progress only: its
+  // repairs are serial and always pruned) and the `ladder`'s rungs.
+  const Network net = randgen::randomNetwork({.innerBlocks = 11, .seed = 3});
+  struct Case {
+    std::string_view strategy;
+    bool typed;
+    bool searchKnobs;  // threads and pruningBound apply
+  };
+  const Case cases[] = {{"exhaustive", false, true},
+                        {"lns", false, false},
+                        {"ladder", false, true},
+                        {"exhaustive", true, true}};
+  for (const Case& c : cases) {
+    const std::string label =
+        std::string(c.typed ? "typed " : "") + std::string(c.strategy);
+    EngineOptions base;
+    base.timeLimitSeconds = 0.0;  // unlimited: every count is exact
+    base.threads = 1;
+    // Keep the ladder's lns rung to one tiny round, so the pruned count
+    // is the exact rung's alone.
+    base.lnsRounds = c.strategy == "ladder" ? 1 : 4;
+    if (c.strategy == "ladder") base.lnsPocket = 2;
+
+    if (c.searchKnobs) {
+      const KnobOutcome pruning = runWithKnobs(c.strategy, c.typed, net, base);
+      EXPECT_GT(pruning.pruned, 0u) << label;
+      EngineOptions off = base;
+      off.pruningBound = false;
+      EXPECT_EQ(runWithKnobs(c.strategy, c.typed, net, off).pruned, 0u)
+          << label;
+
+      EXPECT_EQ(pruning.workers, 0u) << label;  // threads = 1: serial
+      EngineOptions two = base;
+      two.threads = 2;
+      EXPECT_EQ(runWithKnobs(c.strategy, c.typed, net, two).workers, 2u)
+          << label;
+    }
+
+    std::atomic<std::uint64_t> progress{0};
+    EngineOptions watched = base;
+    watched.progressNodes = &progress;
+    EXPECT_TRUE(runWithKnobs(c.strategy, c.typed, net, watched).verified)
+        << label;
+    EXPECT_GT(progress.load(), 0u) << label;
+
+    std::atomic<bool> cancel{true};
+    EngineOptions cancelled = base;
+    cancelled.cancel = &cancel;
+    const KnobOutcome stopped =
+        runWithKnobs(c.strategy, c.typed, net, cancelled);
+    EXPECT_TRUE(stopped.timedOut) << label;
+    EXPECT_TRUE(stopped.verified) << label;
+  }
 }
 
 }  // namespace
