@@ -14,11 +14,14 @@
 // (the field scripts/compare_bench.py diffs), `cost` a deterministic
 // io-trace checksum of the walk (a symmetric miscount cannot hide in
 // it), `pruned` the observed allocation count, and the timing fields
-// informational.
+// informational.  One more record, bnb/serial/n=17, runs the serial
+// branch-and-bound on a pinned design: its explored and pruned counts
+// are deterministic and gated the same way.
 //
 // Usage: bench_micro [--json=PATH] [google-benchmark flags]
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -32,6 +35,7 @@
 #include "bench_json.h"
 #include "core/failpoint.h"
 #include "core/subgraph.h"
+#include "partition/exhaustive.h"
 #include "partition/paredown.h"
 #include "partition/port_counter.h"
 #include "randgen/generator.h"
@@ -313,6 +317,56 @@ bool runFailpointWorkload(eblocks::bench::BenchJson& json) {
   return fired == 0 && allocs == 0;
 }
 
+/// Branch-and-bound throughput: the serial exact search on the pinned
+/// 17-inner-block design of perfbench's `search` workload (largeNetwork
+/// seed 1000003*17 + 2), unseeded.  `nodes` (explored) and `pruned`
+/// (admissible-bound cuts) are deterministic, so compare_bench.py gates
+/// the kernel's node counts below the end-to-end benchmark; ns/node, from
+/// the fastest of three identical runs, is informational.  Returns false
+/// when the runs disagree (a serial search must not).
+bool runSearchWorkload(eblocks::bench::BenchJson& json) {
+  constexpr int kInner = 17;
+  const Network net = randgen::randomNetwork(
+      randgen::GeneratorOptions::largeNetwork(kInner, 1000003u * kInner + 2));
+  const partition::PartitionProblem problem(net, partition::ProgBlockSpec{});
+  partition::ExhaustiveOptions options;
+  options.threads = 1;
+  partition::PartitionRun first;
+  double seconds = 0.0;
+  bool same = true;
+  for (int rep = 0; rep < 3; ++rep) {
+    const partition::PartitionRun run =
+        partition::exhaustiveSearch(problem, options);
+    if (rep == 0) {
+      first = run;
+      seconds = run.seconds;
+      continue;
+    }
+    same = same && run.explored == first.explored &&
+           run.pruned == first.pruned && !run.timedOut;
+    seconds = std::min(seconds, run.seconds);
+  }
+  const double cost = first.result.totalAfter(problem.innerCount());
+  std::printf("%-28s n=%-4d %8.1f ns/node  (%llu nodes, %llu pruned, "
+              "%.4fs, cost %.0f)\n",
+              "bnb/serial", kInner,
+              seconds / static_cast<double>(first.explored) * 1e9,
+              static_cast<unsigned long long>(first.explored),
+              static_cast<unsigned long long>(first.pruned), seconds, cost);
+  json.add(eblocks::bench::BenchRecord{
+      .workload = "bnb/serial/n=" + std::to_string(kInner),
+      .deterministic = true,
+      .nodes = first.explored,
+      .nodesUnpruned = 0,
+      .pruned = first.pruned,
+      .seconds = seconds,
+      .cost = cost});
+  if (!same)
+    std::fprintf(stderr, "!! bnb/serial n=%d: repeated serial searches "
+                         "disagree on node counts\n", kInner);
+  return same;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -339,6 +393,9 @@ int main(int argc, char** argv) {
   std::printf("\nFailpoint disarmed-check overhead (must fire nothing, "
               "allocate nothing):\n");
   ok = runFailpointWorkload(json) && ok;
+  std::printf("\nBranch-and-bound throughput (serial, deterministic node "
+              "counts):\n");
+  ok = runSearchWorkload(json) && ok;
   if (!json.write()) ok = false;
   return ok ? 0 : 1;
 }

@@ -25,7 +25,8 @@ struct MappingOptions {
   /// Pre-assigned placements (typically sensors and output devices, which
   /// are physically installed at known nodes).
   std::map<BlockId, PhysId> pinned;
-  /// Wall-clock budget; 0 disables.
+  /// Wall-clock budget; a limit that is not positive or too large to
+  /// represent (deadlineAfter, core/deadline.h) disables it.
   double timeLimitSeconds = 0.0;
 };
 

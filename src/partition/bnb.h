@@ -16,8 +16,9 @@
 // bound(bins, idx, uncovered, lo) returns the node's Cut; leaf(bins,
 // uncovered, lo) prices a complete assignment.  `bins` are the live
 // bins' PortCounters and `lo` the node's DFS ordinal (see Task).  The
-// Worker owns the bins, the frozen set, the task prefix and the offload;
-// the Policy owns costs, incumbents and its best solution.
+// Worker owns the bins, the frozen set (with the per-block owner array
+// that routes its updates), the task prefix and the offload; the Policy
+// owns costs, incumbents and its best solution.
 #ifndef EBLOCKS_PARTITION_BNB_H_
 #define EBLOCKS_PARTITION_BNB_H_
 
@@ -34,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/deadline.h"
 #include "partition/exhaustive.h"
 #include "partition/port_counter.h"
 #include "partition/validity.h"
@@ -93,18 +95,14 @@ struct SearchSpace {
 };
 
 /// The shared stop control, built from the caller's SearchLimits:
-/// wall-clock deadline (timeLimitSeconds <= 0: none), cooperative cancel
+/// wall-clock deadline (deadlineAfter: a limit that is not positive or
+/// too large to represent means none), cooperative cancel
 /// (caller-owned, only read here), live progress (caller-owned and
 /// zeroed; workers add 4096 per granule) and the node budget (0: none),
 /// all polled at one 4096-node cadence per worker.
 struct StopControl {
   explicit StopControl(const SearchLimits& limits, std::uint64_t budget = 0)
-      : deadline(limits.timeLimitSeconds > 0
-                     ? Clock::now() +
-                           std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   limits.timeLimitSeconds))
-                     : Clock::time_point::max()),
+      : deadline(deadlineAfter(Clock::now(), limits.timeLimitSeconds)),
         cancel(limits.cancel),
         progressNodes(limits.progressNodes),
         nodeBudget(budget) {}
@@ -172,6 +170,7 @@ class Worker {
         policy_(std::move(policy)) {
     bins_.reserve(space.inner.size() + 1);
     choice_.reserve(space.inner.size());
+    if (pruning_) owner_.assign(space.graph.blockCount(), kUncovered);
   }
   // The bins point at frozen_, so a Worker never moves.
   Worker(const Worker&) = delete;
@@ -187,7 +186,7 @@ class Worker {
       const BlockId b = space_.inner[i];
       if (c == kUncovered) {
         ++uncovered;
-        if (pruning_) freezeAssigned(b, kNoOwnBin);
+        if (pruning_) freezeAssigned(b, kUncovered);
         continue;
       }
       if (static_cast<std::size_t>(c) == binCount_) openBin();
@@ -202,8 +201,6 @@ class Worker {
   Policy& policy() { return policy_; }
 
  private:
-  static constexpr std::size_t kNoOwnBin = static_cast<std::size_t>(-1);
-
   /// A recycled task frame for the next push: its choice vector keeps
   /// the capacity it grew while circulating through the pool, so
   /// steady-state splits copy into existing storage instead of
@@ -215,11 +212,18 @@ class Worker {
     return t;
   }
 
+  /// Empties the previous task's state.  Its DFS has unwound back to
+  /// its prefix (choice_), so only the prefix blocks can own a bin:
+  /// clearing their owner entries is O(prefix), not O(blocks).
   void resetBins() {
     for (std::size_t j = 0; j < binCount_; ++j) bins_[j].clear();
     policy_.startTask(binCount_);
     binCount_ = 0;
-    if (pruning_) frozen_ = space_.baseFrozen;
+    if (pruning_) {
+      frozen_ = space_.baseFrozen;
+      for (std::size_t i = 0; i < choice_.size(); ++i)
+        owner_[space_.inner[i]] = kUncovered;
+    }
   }
 
   void openBin() {
@@ -234,29 +238,59 @@ class Worker {
   void join(std::size_t j, std::size_t i, BlockId b) {
     bins_[j].add(b);
     policy_.added(j, i);
-    if (pruning_) freezeAssigned(b, j);
+    if (pruning_) {
+      owner_[b] = static_cast<std::int16_t>(j);
+      freezeAssigned(b, owner_[b]);
+    }
   }
 
   void leave(std::size_t j, std::size_t i, BlockId b) {
-    if (pruning_) unfreezeAssigned(b, j);
+    if (pruning_) {
+      unfreezeAssigned(b, owner_[b]);
+      owner_[b] = kUncovered;
+    }
     policy_.removed(j, i);
     bins_[j].remove(b);
   }
 
   /// Marks just-assigned block `b` frozen (its fate is fixed for the
-  /// whole subtree) and tells every *other* open bin, whose crossing
+  /// whole subtree) and tells the *other* open bins, whose crossing
   /// edges to `b` just turned irreducible.  `own` is the bin `b` joined
-  /// (kNoOwnBin when left uncovered).
-  void freezeAssigned(BlockId b, std::size_t own) {
+  /// (kUncovered when left uncovered).
+  void freezeAssigned(BlockId b, std::int16_t own) {
     frozen_.set(b);
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (j != own) bins_[j].freeze(b);
+    routeArcs<true>(b, own);
   }
 
-  void unfreezeAssigned(BlockId b, std::size_t own) {
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (j != own) bins_[j].unfreeze(b);
+  void unfreezeAssigned(BlockId b, std::int16_t own) {
+    routeArcs<false>(b, own);
     frozen_.reset(b);
+  }
+
+  /// One walk over `b`'s arcs hands each arc to the bin owning its
+  /// neighbor as a per-arc (un)freeze step, so a move costs O(degree of
+  /// b) however many bins are open.  Arcs to unassigned, uncovered or
+  /// non-inner blocks, and to `own` (internal edges), go nowhere.
+  template <bool kFreeze>
+  void routeArcs(BlockId b, std::int16_t own) {
+    for (const CompactArc& a : space_.graph.outArcs(b)) {
+      const std::int16_t o = owner_[a.neighbor];  // b -> member: input
+      if (o < 0 || o == own) continue;
+      PortCounter& bin = bins_[static_cast<std::size_t>(o)];
+      if constexpr (kFreeze)
+        bin.freezeInput(a.endpoint);
+      else
+        bin.unfreezeInput(a.endpoint);
+    }
+    for (const CompactArc& a : space_.graph.inArcs(b)) {
+      const std::int16_t o = owner_[a.neighbor];  // member -> b: output
+      if (o < 0 || o == own) continue;
+      PortCounter& bin = bins_[static_cast<std::size_t>(o)];
+      if constexpr (kFreeze)
+        bin.freezeOutput(a.endpoint);
+      else
+        bin.unfreezeOutput(a.endpoint);
+    }
   }
 
   bool stopped() {
@@ -344,10 +378,10 @@ class Worker {
     }
     visit(kUncovered, uncovered + 1,
           [&] {
-            if (pruning_) freezeAssigned(b, kNoOwnBin);
+            if (pruning_) freezeAssigned(b, kUncovered);
           },
           [&] {
-            if (pruning_) unfreezeAssigned(b, kNoOwnBin);
+            if (pruning_) unfreezeAssigned(b, kUncovered);
           });
   }
 
@@ -357,6 +391,10 @@ class Worker {
   int workerId_ = 0;
   bool pruning_ = false;
   BitSet frozen_;  // non-inner + assigned prefix; bins point at this
+  // Per block: the live bin holding it, else kUncovered (unassigned,
+  // uncovered or non-inner).  Kept only when pruning_; routes
+  // freezeAssigned's per-arc notifications.
+  std::vector<std::int16_t> owner_;
   std::vector<PortCounter> bins_;  // pool; first binCount_ entries live
   std::size_t binCount_ = 0;
   std::vector<std::int16_t> choice_;  // live assignment of blocks [0, idx)

@@ -53,7 +53,9 @@ namespace eblocks::partition {
 /// to them unchanged.
 struct SearchLimits {
   /// Wall-clock budget; exceeded -> run.timedOut = true and the best
-  /// solution found so far is returned.  <= 0 disables the limit.
+  /// solution found so far is returned.  A limit that is not positive
+  /// (NaN included) or too large to represent disables it
+  /// (deadlineAfter, core/deadline.h).
   double timeLimitSeconds = 0.0;
   /// Worker threads for the branch-and-bound.  0 = one per hardware
   /// thread (std::thread::hardware_concurrency), 1 = the original serial

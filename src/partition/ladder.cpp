@@ -28,7 +28,7 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
                                const EngineOptions& options) {
   const auto start = Clock::now();
   const double limit = options.timeLimitSeconds;
-  const bool unlimited = limit <= 0.0;
+  const bool unlimited = !(limit > 0.0);  // as deadlineAfter: NaN too
   const auto remaining = [&] {
     return unlimited ? std::numeric_limits<double>::infinity()
                      : limit - elapsedSince(start);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "blocks/catalog.h"
+#include "core/deadline.h"
 #include "partition/exhaustive.h"
 
 namespace eblocks::partition {
@@ -86,11 +87,7 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
                        const LnsOptions& options) {
   const auto start = Clock::now();
   const Clock::time_point deadline =
-      options.timeLimitSeconds > 0
-          ? start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(
-                            options.timeLimitSeconds))
-          : Clock::time_point::max();
+      deadlineAfter(start, options.timeLimitSeconds);
   const Network& net = problem.network();
   const CompactGraph& graph = problem.graph();
   const int innerCount = problem.innerCount();

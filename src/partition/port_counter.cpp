@@ -104,32 +104,18 @@ void PortCounter::freeze(BlockId x) {
   // and a member turns irreducible.  Edges between x and non-members are
   // not crossing and contribute nothing (if their other end joins later,
   // add() will see x's frozen bit).
-  if (mode_ == CountingMode::kEdges) {
-    for (const CompactArc& a : graph_->outArcs(x))  // x -> member: input
-      if (members_.test(a.neighbor)) ++fixed_.inputs;
-    for (const CompactArc& a : graph_->inArcs(x))  // member -> x: output
-      if (members_.test(a.neighbor)) ++fixed_.outputs;
-  } else {
-    for (const CompactArc& a : graph_->outArcs(x))
-      if (members_.test(a.neighbor)) fixedIncIn(a.endpoint);
-    for (const CompactArc& a : graph_->inArcs(x))
-      if (members_.test(a.neighbor)) fixedIncOut(a.endpoint);
-  }
+  for (const CompactArc& a : graph_->outArcs(x))  // x -> member: input
+    if (members_.test(a.neighbor)) freezeInput(a.endpoint);
+  for (const CompactArc& a : graph_->inArcs(x))  // member -> x: output
+    if (members_.test(a.neighbor)) freezeOutput(a.endpoint);
 }
 
 void PortCounter::unfreeze(BlockId x) {
   assert(!members_.test(x) && "unfreeze: block is a member");
-  if (mode_ == CountingMode::kEdges) {
-    for (const CompactArc& a : graph_->outArcs(x))
-      if (members_.test(a.neighbor)) --fixed_.inputs;
-    for (const CompactArc& a : graph_->inArcs(x))
-      if (members_.test(a.neighbor)) --fixed_.outputs;
-  } else {
-    for (const CompactArc& a : graph_->outArcs(x))
-      if (members_.test(a.neighbor)) fixedDecIn(a.endpoint);
-    for (const CompactArc& a : graph_->inArcs(x))
-      if (members_.test(a.neighbor)) fixedDecOut(a.endpoint);
-  }
+  for (const CompactArc& a : graph_->outArcs(x))
+    if (members_.test(a.neighbor)) unfreezeInput(a.endpoint);
+  for (const CompactArc& a : graph_->inArcs(x))
+    if (members_.test(a.neighbor)) unfreezeOutput(a.endpoint);
 }
 
 void PortCounter::trackAdd(BlockId b) {

@@ -43,7 +43,12 @@
 // part, because a frozen endpoint stays outside forever).  Tracking is
 // enabled by handing the constructor a caller-owned frozen BitSet;
 // freeze()/unfreeze() notify the counter when an outside block's bit
-// flips, in O(degree) per flip.
+// flips, in O(degree) per flip.  They are loops over O(1) per-arc steps
+// (freezeInput/freezeOutput and their inverses), which a caller that
+// knows which counter owns each neighbor can apply directly: the
+// branch-and-bound walks a just-assigned block's arcs once and hands
+// each arc to the bin holding its neighbor, so one move costs
+// O(degree) no matter how many bins are open.
 //
 // countIo(), borderBlocks(), and removalRank() in core/subgraph.h remain
 // the independent from-scratch references; the randomized kernel tests
@@ -136,8 +141,9 @@ class PortCounter {
   /// flips and must keep the counter in sync: add(b)/remove(b) require
   /// `b` itself to be un-frozen at call time, and every flip of an
   /// *outside* block's bit must be bracketed by freeze()/unfreeze()
-  /// calls on this counter (flipping a bit while the block is a member
-  /// needs no call -- members have no crossing edges to themselves).
+  /// calls on this counter, or by the equivalent per-arc steps
+  /// (flipping a bit while the block is a member needs no call --
+  /// members have no crossing edges to themselves).
   PortCounter(const CompactGraph& graph, CountingMode mode,
               BorderTracking tracking = BorderTracking::kOff,
               const BitSet* frozen = nullptr)
@@ -182,12 +188,51 @@ class PortCounter {
   /// Notifies the counter that outside block `x` was frozen (its bit in
   /// the shared frozen set was just set): crossing edges between `x` and
   /// members become irreducible.  O(degree(x)).  `x` must not be a
-  /// member.
+  /// member.  Equivalent to freezeInput() over `x`'s out-arcs into
+  /// members and freezeOutput() over its in-arcs from members.
   void freeze(BlockId x);
 
   /// Exact inverse of freeze(); call before (or after) clearing `x`'s
   /// bit in the shared frozen set.
   void unfreeze(BlockId x);
+
+  /// The per-arc steps of freeze()/unfreeze(), for a caller that already
+  /// knows which counter holds an arc's member end (the branch-and-bound
+  /// routes each arc of a just-frozen block to the bin owning its
+  /// neighbor, instead of asking every bin to rescan the block).
+  /// freezeInput(e): the arc from the frozen block's source endpoint `e`
+  /// into a member became irreducible.  freezeOutput(e): the arc from
+  /// member source endpoint `e` into the frozen block did.  Each unfreeze
+  /// step is the exact inverse of its freeze step, under the same
+  /// refcount discipline as add()/remove().  O(1).
+  void freezeInput(std::uint32_t e) {
+    assert(tracksFixed() && "freezeInput: no frozen set");
+    if (mode_ == CountingMode::kEdges)
+      ++fixed_.inputs;
+    else
+      fixedIncIn(e);
+  }
+  void unfreezeInput(std::uint32_t e) {
+    assert(tracksFixed() && "unfreezeInput: no frozen set");
+    if (mode_ == CountingMode::kEdges)
+      --fixed_.inputs;
+    else
+      fixedDecIn(e);
+  }
+  void freezeOutput(std::uint32_t e) {
+    assert(tracksFixed() && "freezeOutput: no frozen set");
+    if (mode_ == CountingMode::kEdges)
+      ++fixed_.outputs;
+    else
+      fixedIncOut(e);
+  }
+  void unfreezeOutput(std::uint32_t e) {
+    assert(tracksFixed() && "unfreezeOutput: no frozen set");
+    if (mode_ == CountingMode::kEdges)
+      --fixed_.outputs;
+    else
+      fixedDecOut(e);
+  }
 
   /// The current border members; always equal (as a set) to
   /// borderBlocks(net, members()).  Requires BorderTracking::kOn.

@@ -220,7 +220,7 @@ void Server::handleRequest(std::uint64_t conn, std::string_view frame) {
     badRequest("programmable-block port budget must be at least 1x1");
     return;
   }
-  if (request.threads < 0 || request.timeLimitSeconds < 0.0) {
+  if (request.threads < 0 || !(request.timeLimitSeconds >= 0.0)) {  // NaN
     badRequest("threads and time limit must be non-negative");
     return;
   }

@@ -351,7 +351,7 @@ void Shell::cmdSynth(std::istream& args, std::ostream& out) {
       havePruning = true;
     } else if (word.rfind("limit=", 0) == 0 && !haveLimit) {
       double seconds = 0.0;
-      if (!parseNumber(word.substr(6), &seconds) || seconds < 0) {
+      if (!parseNumber(word.substr(6), &seconds) || !(seconds >= 0)) {
         out << "error: limit= expects seconds >= 0 (0 = no limit)\n";
         return;
       }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "blocks/catalog.h"
 #include "designs/library.h"
 #include "partition/paredown.h"
@@ -90,6 +92,28 @@ TEST(Exhaustive, TimeLimitReturnsBestSoFar) {
   EXPECT_FALSE(run.optimal);
   // Whatever it returns must still verify.
   EXPECT_TRUE(verifyPartitioning(problem, run.result).empty());
+}
+
+TEST(Exhaustive, HugeOrInfiniteTimeLimitMeansNoDeadline) {
+  // A limit past the clock's range once overflowed into a deadline in
+  // the past, stopping the search at its first 4096-node clock poll.
+  // Such limits mean "no deadline": the same walk as limit 0.
+  const Network net = randgen::randomNetwork(
+      randgen::GeneratorOptions::largeNetwork(16, 1000003u * 16 + 1));
+  const PartitionProblem problem(net, ProgBlockSpec{});
+  ExhaustiveOptions options;
+  options.threads = 1;  // deterministic node counts
+  const PartitionRun unlimited = exhaustiveSearch(problem, options);
+  ASSERT_FALSE(unlimited.timedOut);
+  ASSERT_GT(unlimited.explored, 4u * 4096);  // several clock polls
+  for (const double limit : {1e12, std::numeric_limits<double>::infinity()}) {
+    options.timeLimitSeconds = limit;
+    const PartitionRun run = exhaustiveSearch(problem, options);
+    EXPECT_FALSE(run.timedOut) << limit;
+    EXPECT_TRUE(run.optimal) << limit;
+    EXPECT_EQ(run.explored, unlimited.explored) << limit;
+    EXPECT_EQ(run.result.partitions, unlimited.result.partitions) << limit;
+  }
 }
 
 TEST(Exhaustive, InvalidSeedIsIgnored) {

@@ -241,6 +241,142 @@ TEST_P(PortCounterModes, ClearResetsFixedTracking) {
   EXPECT_EQ(counter.fixedIo().outputs, expected.outputs);
 }
 
+// The branch-and-bound's owner routing, replayed outside the search: one
+// owner array (bin index or -1 per block) sends each arc of a block whose
+// frozen bit flips to the counter holding the arc's other end, skipping
+// `own` (the bin the block itself sits in, -1 when it sits in none).
+void routeArcs(std::vector<PortCounter>& bins, const std::vector<int>& owner,
+               BlockId b, int own, bool freeze) {
+  const CompactGraph& graph = bins.front().graph();
+  for (const CompactArc& a : graph.outArcs(b)) {
+    const int o = owner[a.neighbor];
+    if (o < 0 || o == own) continue;
+    PortCounter& bin = bins[static_cast<std::size_t>(o)];
+    freeze ? bin.freezeInput(a.endpoint) : bin.unfreezeInput(a.endpoint);
+  }
+  for (const CompactArc& a : graph.inArcs(b)) {
+    const int o = owner[a.neighbor];
+    if (o < 0 || o == own) continue;
+    PortCounter& bin = bins[static_cast<std::size_t>(o)];
+    freeze ? bin.freezeOutput(a.endpoint) : bin.unfreezeOutput(a.endpoint);
+  }
+}
+
+TEST_P(PortCounterModes, OwnerRoutedFreezesMatchReferenceAcrossBins) {
+  // 3-4 counters share one frozen set, as the search's open bins do.  An
+  // inner block is free, a member of one bin (and frozen for the others),
+  // or frozen and uncovered; it moves between those states in random,
+  // non-LIFO order, and every frozen-bit flip is announced only through
+  // the owner-routed per-arc steps.  After every step each counter must
+  // match the from-scratch io() and fixedIo() references.
+  const CountingMode mode = GetParam();
+  for (const std::uint32_t netSeed : {41u, 42u, 43u, 44u}) {
+    const Network net =
+        randgen::randomNetwork({.innerBlocks = 16, .seed = netSeed});
+    const CompactGraph graph(net);
+    const std::vector<BlockId> inner = net.innerBlocks();
+    BitSet frozen(net.blockCount());
+    for (BlockId b = 0; b < net.blockCount(); ++b)
+      if (!net.isInner(b)) frozen.set(b);
+    const std::size_t binCount = 3 + netSeed % 2;
+    std::vector<PortCounter> bins;
+    for (std::size_t j = 0; j < binCount; ++j)
+      bins.emplace_back(graph, mode, BorderTracking::kOff, &frozen);
+    std::vector<BitSet> reference(binCount, net.emptySet());
+    std::vector<int> owner(net.blockCount(), -1);
+    std::mt19937 rng(netSeed * 7919);
+    std::uniform_int_distribution<std::size_t> pick(0, inner.size() - 1);
+    for (int step = 0; step < 600; ++step) {
+      const BlockId b = inner[pick(rng)];
+      const int own = owner[b];
+      if (own >= 0) {  // leave bin `own`: unfreeze, then remove
+        routeArcs(bins, owner, b, own, /*freeze=*/false);
+        frozen.reset(b);
+        owner[b] = -1;
+        bins[static_cast<std::size_t>(own)].remove(b);
+        reference[static_cast<std::size_t>(own)].reset(b);
+      } else if (frozen.test(b)) {  // uncovered -> free
+        routeArcs(bins, owner, b, -1, /*freeze=*/false);
+        frozen.reset(b);
+      } else if (rng() % 3 != 0) {  // free -> join a bin, then freeze
+        const int j = static_cast<int>(rng() % binCount);
+        bins[static_cast<std::size_t>(j)].add(b);
+        reference[static_cast<std::size_t>(j)].set(b);
+        owner[b] = j;
+        frozen.set(b);
+        routeArcs(bins, owner, b, j, /*freeze=*/true);
+      } else {  // free -> uncovered
+        frozen.set(b);
+        routeArcs(bins, owner, b, -1, /*freeze=*/true);
+      }
+      for (std::size_t j = 0; j < binCount; ++j) {
+        expectMatchesReference(net, bins[j], reference[j], mode, step);
+        const IoCount expected =
+            referenceFixedIo(net, reference[j], frozen, mode);
+        EXPECT_EQ(bins[j].fixedIo().inputs, expected.inputs)
+            << toString(mode) << " bin " << j << " fixed inputs diverged at "
+            << "step " << step;
+        EXPECT_EQ(bins[j].fixedIo().outputs, expected.outputs)
+            << toString(mode) << " bin " << j << " fixed outputs diverged "
+            << "at step " << step;
+      }
+    }
+  }
+}
+
+TEST_P(PortCounterModes, FreezeEqualsPerArcStepsOverMemberArcs) {
+  // freeze(x)/unfreeze(x) are loops over the per-arc steps: applying
+  // freezeInput to x's out-arcs into members and freezeOutput to its
+  // in-arcs from members must leave the same fixedIo().
+  const CountingMode mode = GetParam();
+  const Network net = randgen::randomNetwork({.innerBlocks = 16, .seed = 9});
+  const CompactGraph graph(net);
+  const std::vector<BlockId> inner = net.innerBlocks();
+  BitSet frozen(net.blockCount());
+  for (BlockId b = 0; b < net.blockCount(); ++b)
+    if (!net.isInner(b)) frozen.set(b);
+  PortCounter whole(graph, mode, BorderTracking::kOff, &frozen);
+  PortCounter perArc(graph, mode, BorderTracking::kOff, &frozen);
+  const auto arcSteps = [&](BlockId x, bool freeze) {
+    for (const CompactArc& a : graph.outArcs(x))
+      if (perArc.contains(a.neighbor))
+        freeze ? perArc.freezeInput(a.endpoint)
+               : perArc.unfreezeInput(a.endpoint);
+    for (const CompactArc& a : graph.inArcs(x))
+      if (perArc.contains(a.neighbor))
+        freeze ? perArc.freezeOutput(a.endpoint)
+               : perArc.unfreezeOutput(a.endpoint);
+  };
+  std::mt19937 rng(2718);
+  std::uniform_int_distribution<std::size_t> pick(0, inner.size() - 1);
+  int flips = 0;
+  for (int step = 0; step < 400; ++step) {
+    const BlockId b = inner[pick(rng)];
+    if (whole.contains(b)) {
+      whole.remove(b);
+      perArc.remove(b);
+    } else if (frozen.test(b)) {
+      whole.unfreeze(b);
+      arcSteps(b, /*freeze=*/false);
+      frozen.reset(b);
+      ++flips;
+    } else if (rng() % 2) {
+      whole.add(b);
+      perArc.add(b);
+    } else {
+      frozen.set(b);
+      whole.freeze(b);
+      arcSteps(b, /*freeze=*/true);
+      ++flips;
+    }
+    EXPECT_EQ(perArc.fixedIo().inputs, whole.fixedIo().inputs)
+        << toString(mode) << " step " << step;
+    EXPECT_EQ(perArc.fixedIo().outputs, whole.fixedIo().outputs)
+        << toString(mode) << " step " << step;
+  }
+  EXPECT_GT(flips, 50);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModes, PortCounterModes,
                          ::testing::Values(CountingMode::kEdges,
                                            CountingMode::kSignals),

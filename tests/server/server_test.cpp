@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -397,6 +398,31 @@ TEST(Server, BadRequestContentRejectedCleanly) {
   result = client.call(good, kCallTimeoutMs);
   ASSERT_TRUE(result.ok());
   expectBitIdentical(net, good, *result.response);
+}
+
+TEST(Server, NanTimeLimitRejectedOnce) {
+  // NaN passes a `< 0` check, and the searches once read it as "no
+  // limit".  It is refused as a bad option value: one kBadRequest, no
+  // job, and the connection keeps serving.
+  Server server(quickOptions(1, 4));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.connectTo("127.0.0.1", server.port(), &error)) << error;
+  const Network net = designs::figure5();
+
+  SynthRequest nanLimit = paredownRequest(1, net);
+  nanLimit.timeLimitSeconds = std::numeric_limits<double>::quiet_NaN();
+  const CallResult rejected = client.call(nanLimit, kCallTimeoutMs);
+  ASSERT_TRUE(rejected.error) << "expected kBadRequest";
+  EXPECT_EQ(rejected.error->code, ErrorCode::kBadRequest);
+  EXPECT_FALSE(client.nextMessage(200, &error));
+  EXPECT_EQ(server.stats().badRequests, 1u);
+
+  const SynthRequest good = paredownRequest(2, net);
+  const CallResult served = client.call(good, kCallTimeoutMs);
+  ASSERT_TRUE(served.ok());
+  expectBitIdentical(net, good, *served.response);
 }
 
 TEST(Server, HostileBehaviorDepthRejectedAtDecode) {
